@@ -73,27 +73,14 @@ class _Cli(click.Group):
 
 
 @click.group(cls=_Cli)
-@click.option("--seed", type=int, default=None, help="Seed for randomized tooling; the core commands are deterministic.")
-def main(seed):
+def main():
     """Measure, redescribe, and rank binary-data mining results as noisy tiles."""
 
 
-_fit_opts = [
-    click.option("--tolerance", type=float, default=1e-6, show_default=True,
-                 help="Max per-tile frequency residual."),
-    click.option("--max-sweeps", type=int, default=10_000, show_default=True,
-                 help="Cap on iterative-scaling sweeps."),
-]
-
-
-def fit_options(f):
-    for opt in reversed(_fit_opts):
-        f = opt(f)
-    return f
-
-
-def _opts(tolerance, max_sweeps) -> FitOptions:
-    return FitOptions(tolerance=tolerance, max_sweeps=max_sweeps)
+fit_options = click.option(
+    "--tolerance", type=float, default=1e-6, show_default=True,
+    help="Max per-tile frequency residual.",
+)
 
 
 @main.group()
@@ -167,13 +154,13 @@ def convert_density(data, output):
 @fit_options
 @click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv", show_default=True)
 @click.option("--output", type=click.Path(), default=None)
-def distance_cmd(data, left, right, background, tolerance, max_sweeps, fmt, output):
+def distance_cmd(data, left, right, background, tolerance, fmt, output):
     """Distance between two tile-set files given background knowledge."""
     ds = read_dataset(data)
     t = read_tileset(left, data=ds)
     u = read_tileset(right, data=ds)
     b = _load_background(background, ds)
-    report = distance(t, u, b, _opts(tolerance, max_sweeps))
+    report = distance(t, u, b, FitOptions(tolerance=tolerance))
     if fmt == "jsonl":
         _emit([json.dumps({
             "distance": report.value,
@@ -192,12 +179,12 @@ def distance_cmd(data, left, right, background, tolerance, max_sweeps, fmt, outp
 @click.option("--background", default="none", show_default=True)
 @fit_options
 @click.option("--output", type=click.Path(), default=None)
-def distance_matrix(tile_files, data, background, tolerance, max_sweeps, output):
+def distance_matrix(tile_files, data, background, tolerance, output):
     """Pairwise distance matrix over tile-set files, as TSV."""
     ds = read_dataset(data)
     sets = [read_tileset(f, data=ds) for f in tile_files]
     b = _load_background(background, ds)
-    opts = _opts(tolerance, max_sweeps)
+    opts = FitOptions(tolerance=tolerance)
     names = [Path(f).name for f in tile_files]
     values = [[0.0] * len(sets) for _ in sets]
     for i in range(len(sets)):
@@ -217,13 +204,13 @@ def distance_matrix(tile_files, data, background, tolerance, max_sweeps, output)
 @click.option("--background", default="none", show_default=True)
 @fit_options
 @click.option("--output", type=click.Path(), default=None)
-def redescribe_cmd(data, target, candidates, background, tolerance, max_sweeps, output):
+def redescribe_cmd(data, target, candidates, background, tolerance, output):
     """Greedily pick candidate tiles that redescribe the target set."""
     ds = read_dataset(data)
     t = read_tileset(target, data=ds)
     c = read_tileset(candidates, data=ds)
     b = _load_background(background, ds)
-    result = fruits(t, c, b, _opts(tolerance, max_sweeps))
+    result = fruits(t, c, b, FitOptions(tolerance=tolerance))
     lines = [
         json.dumps({"step": i + 1, "tile": _tile_json(ft), "distance": d})
         for i, (ft, d) in enumerate(zip(result.selected, result.trace))
@@ -238,12 +225,12 @@ def redescribe_cmd(data, target, candidates, background, tolerance, max_sweeps, 
 @click.option("--mode", type=click.Choice(["exact", "heuristic"]), default="exact", show_default=True)
 @fit_options
 @click.option("--output", type=click.Path(), default=None)
-def rank_cmd(data, tiles, background, mode, tolerance, max_sweeps, output):
+def rank_cmd(data, tiles, background, mode, tolerance, output):
     """Order tiles so each adds maximal novel information."""
     ds = read_dataset(data)
     ts = read_tileset(tiles, data=ds)
     b = _load_background(background, ds)
-    ranking = fitamin(ts, b, mode, _opts(tolerance, max_sweeps))
+    ranking = fitamin(ts, b, mode, FitOptions(tolerance=tolerance))
     lines = [
         json.dumps({"step": i + 1, "tile": _tile_json(ft), "distance_after": d, "gain": g})
         for i, (ft, d, g) in enumerate(zip(ranking.order, ranking.trace, ranking.gains))
@@ -262,12 +249,12 @@ def model():
 @click.option("--background", default="none", show_default=True)
 @fit_options
 @click.option("--output", type=click.Path(), default=None)
-def model_dump(data, tiles, background, tolerance, max_sweeps, output):
+def model_dump(data, tiles, background, tolerance, output):
     """Fit the model for a tile set and dump its probability matrix as TSV."""
     ds = read_dataset(data)
     ts = read_tileset(tiles, data=ds)
     b = _load_background(background, ds)
-    m = fit(ts.union(b), _opts(tolerance, max_sweeps))
+    m = fit(ts.union(b), FitOptions(tolerance=tolerance))
     lines = ["\t".join(f"{v:.17g}" for v in row) for row in m.p]
     _emit(lines, output)
 

@@ -139,7 +139,7 @@ class FreqTile:
 class TileSet:
     """An ordered collection of frequency-annotated tiles on common dims.
 
-    Order is preserved: greedy selection and fit sweeps depend on it.
+    Order is preserved: greedy selection depends on it.
     Duplicate and overlapping tiles are allowed; exact duplicates with
     conflicting frequencies are rejected up front.
     """

@@ -26,7 +26,7 @@ class InfeasibleTile(TilediveError):
 
 
 class NoConvergence(TilediveError):
-    """Iterative scaling did not reach the residual tolerance in time."""
+    """The Newton fit did not reach the residual tolerance in time."""
 
 
 class ConsistencyError(TilediveError):

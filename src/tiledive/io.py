@@ -2,7 +2,8 @@
 
 Dataset file: first line "n m", then n lines, line i listing the
 1-based column ids where row i has a 1 (space-separated, empty line
-for an all-zero row). Tile-set file: one JSON object per line,
+for an all-zero row); only blank lines may follow the n rows.
+Tile-set file: one JSON object per line,
 {"rows": [...], "cols": [...], "freq": 0.5}; "freq" is optional.
 Id lists in either format may use "a-b" range shorthand.
 """
@@ -60,6 +61,9 @@ def read_dataset(path) -> BinaryDataset:
         raise InputFormatError(f"{path}:1: dims must be positive")
     if len(lines) < n + 1:
         raise InputFormatError(f"{path}: expected {n} row lines, got {len(lines) - 1}")
+    for lineno, line in enumerate(lines[n + 1:], start=n + 2):
+        if line.strip():
+            raise InputFormatError(f"{path}:{lineno}: line after the {n} row lines")
     entries = np.zeros((n, m), dtype=np.uint8)
     for i in range(n):
         cols = _expand_ids(lines[i + 1].split())

@@ -2,14 +2,16 @@
 
 The maximum-entropy distribution for a set of frequency-constrained
 tiles factorizes into independent per-entry Bernoulli variables, so a
-model is just an n x m probability matrix. Fitting runs iterative
-scaling: sweep the noisy tiles, and for each one rescale its area so
-the model frequency matches the target.
+model is just an n x m probability matrix. An entry's log-odds is the
+sum of one multiplier per noisy tile covering it, so the entries
+covered by the same set of noisy tiles -- an entry class -- share one
+probability. Fitting is one damped-Newton solve for the multipliers,
+with every sum taken over entry classes weighted by their size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +28,21 @@ from .errors import (
 # (all remaining free entries forced to 0 or 1).
 _BOUNDARY_EPS = 1e-9
 
+# Cap on damped-Newton steps. Consistent tile sets converge in tens of
+# steps; a fit that runs out has mutually inconsistent frequencies.
+_NEWTON_STEPS = 500
+
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the iterative-scaling fit."""
+    """Knobs for the fit: its one Newton solve stops once every noisy
+    tile's model frequency is within `tolerance` of its target."""
 
     tolerance: float = 1e-6  # max permitted per-tile frequency residual
-    max_sweeps: int = 10_000  # cap on full passes over the noisy tiles
-    bracket_growth: float = 4.0  # geometric factor for root bracketing
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if self.bracket_growth <= 1:
-            raise ValueError("bracket_growth must exceed 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,63 +114,68 @@ def _clamp_exact(ts: TileSet) -> tuple[np.ndarray, np.ndarray]:
     return p, fixed
 
 
-def _check_feasible(ts: TileSet, p: np.ndarray, fixed: np.ndarray) -> None:
-    """Reject noisy tiles whose target is outside the attainable range."""
-    for idx, ft in enumerate(ts.tiles):
-        if ft.exact:
-            continue
-        block = np.ix_(ft.tile.row_index(), ft.tile.col_index())
-        a = ft.tile.area
-        clamped_ones = float((fixed[block] & (p[block] == 1.0)).sum())
-        clamped_zeros = float((fixed[block] & (p[block] == 0.0)).sum())
-        lo = clamped_ones / a
-        hi = (a - clamped_zeros) / a
-        if ft.alpha < lo - _BOUNDARY_EPS or ft.alpha > hi + _BOUNDARY_EPS:
-            raise InfeasibleTile(
-                f"tile #{idx + 1} ({ft.tile}) wants frequency {ft.alpha} "
-                f"but clamped entries restrict it to [{lo}, {hi}]"
-            )
+def _pin_boundary(ts: TileSet, blocks: list, p: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """Pin the entries that targets on the attainable boundary force.
 
-
-def _solve_scale(values: np.ndarray, target: float, opts: FitOptions) -> float:
-    """Find x > 0 with sum(bernoulli_update(values, x)) == target.
-
-    `values` are the free entries, all strictly inside (0, 1), and
-    `target` lies strictly inside (0, len(values)). The sum is strictly
-    increasing in x, so the root is unique: bracket geometrically, then
-    run regula falsi with a bisection fallback.
+    A tile's target mass lies between its settled mass (entries clamped
+    or pinned so far) and that plus its free-entry count. At the lower
+    end every free entry must be 0, at the upper end 1; pinning one tile
+    can expose another, so the pass runs to a fixpoint. A target outside
+    the range raises InfeasibleTile. Returns each tile's target mass
+    minus its settled mass: what its free entries must still carry.
     """
-    g = lambda x: float(bernoulli_update(values, x).sum())
-    grow = opts.bracket_growth
-    lo, hi = 1.0 / grow, grow
-    while g(lo) > target:
-        lo /= grow
-    while g(hi) < target:
-        hi *= grow
-    f_lo, f_hi = g(lo) - target, g(hi) - target
-    # tolerance/10 on the tile *frequency*, i.e. the sum scaled by area
-    tol = opts.tolerance / 10.0 * len(values)
-    x = lo
-    stuck_side, stuck_count = 0, 0
-    for _ in range(500):
-        if f_hi == f_lo or stuck_count >= 2:
-            x = 0.5 * (lo + hi)  # bisection fallback when regula falsi stalls
-            stuck_count = 0
-        else:
-            x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-        f_x = g(x) - target
-        if abs(f_x) < tol:
-            return x
-        side = -1 if f_x < 0.0 else 1
-        stuck_count = stuck_count + 1 if side == stuck_side else 0
-        stuck_side = side
-        if f_x < 0.0:
-            lo, f_lo = x, f_x
-        else:
-            hi, f_hi = x, f_x
-    return x
+    changed = True
+    while changed:
+        changed = False
+        rest = []
+        for idx, (ft, block) in enumerate(zip(ts.tiles, blocks)):
+            sub_p, sub_pin = p[block], pinned[block]
+            free = ~sub_pin
+            nfree = int(free.sum())
+            settled = float(sub_p[sub_pin].sum())
+            a = ft.tile.area
+            target = ft.alpha * a
+            if not settled - _BOUNDARY_EPS <= target <= settled + nfree + _BOUNDARY_EPS:
+                raise InfeasibleTile(
+                    f"tile #{idx + 1} ({ft.tile}) wants frequency {ft.alpha} "
+                    f"but settled entries restrict it to "
+                    f"[{settled / a}, {(settled + nfree) / a}]"
+                )
+            rest.append(target - settled)
+            if nfree == 0:
+                continue  # settled entries decide this tile entirely
+            if target <= settled + _BOUNDARY_EPS:
+                sub_p[free] = 0.0
+            elif target >= settled + nfree - _BOUNDARY_EPS:
+                sub_p[free] = 1.0
+            else:
+                continue
+            sub_pin[free] = True
+            p[block], pinned[block] = sub_p, sub_pin
+            changed = True
+    return np.array(rest)
+
+
+def _entry_classes(blocks: list, free: np.ndarray):
+    """Group the free entries by the set of tiles covering them.
+
+    Returns each free entry's class (row-major), each class's free-entry
+    count and the k x C 0/1 tile-by-class incidence. Each tile splits
+    every class it touches; classes left without free entries are dropped.
+    """
+    label = np.zeros(free.shape, dtype=np.intp)  # class 0: covered by no tile
+    count = 1
+    for block in blocks:
+        touched = np.zeros(count, dtype=bool)
+        touched[label[block]] = True
+        label[block] = count + (np.cumsum(touched) - 1)[label[block]]
+        count += int(touched.sum())
+    sizes = np.bincount(label[free], minlength=count)
+    label = (np.cumsum(sizes > 0) - 1)[label]
+    incidence = np.zeros((len(blocks), int((sizes > 0).sum())))
+    for j, block in enumerate(blocks):
+        incidence[j, label[block][free[block]]] = 1.0
+    return label[free], sizes[sizes > 0].astype(float), incidence
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
@@ -182,74 +188,41 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_fit(
-    ts: TileSet,
-    noisy: list,
-    blocks: list,
-    opts: FitOptions,
-) -> np.ndarray:
-    """Fit by damped Newton on the per-tile log-scale multipliers.
+def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
+    """Fit the factorized maximum-entropy model for a tile set.
 
-    Each scaling update multiplies entry odds by a per-tile factor, so
-    the model is logistic in the tile multipliers: an entry's log-odds
-    is the sum of the multipliers of the noisy tiles covering it. The
-    dual objective (log-partition minus the linear target term) is
-    convex and smooth; Newton with backtracking converges fast even
-    when the optimum pushes entries to 0 or 1, where plain per-tile
-    sweeps slow to a crawl.
+    Clamps exact tiles and pins the entries that targets on the
+    attainable boundary force to 0 or 1. The free entries left are
+    grouped into entry classes, and one damped Newton solve finds the
+    tile multipliers: a class's log-odds is the sum of the multipliers
+    of the tiles covering it. The dual objective -- sum over classes of
+    size times log(1 + e^log-odds), minus the multipliers dotted with
+    the targets -- is convex and smooth, and its gradient is each
+    tile's model mass minus its target. Free entries are kept strictly
+    inside (0, 1), so only clamped or pinned entries are deterministic.
+
+    Raises InfeasibleTile for an unattainable target, and NoConvergence
+    when a tile ends further than `opts.tolerance` from its target.
     """
-    n, m = ts.dims
-    p, pinned = _clamp_exact(ts)
+    p, fixed = _clamp_exact(ts)
+    blocks = [np.ix_(ft.tile.row_index(), ft.tile.col_index()) for ft in ts.tiles]
+    pinned = fixed.copy()
+    targets = _pin_boundary(ts, blocks, p, pinned)
+    label, sizes, incidence = _entry_classes(blocks, ~pinned)
+    areas = np.array([ft.tile.area for ft in ts.tiles], dtype=float)
 
-    # Pin entries forced to 0/1 by targets that sit on the attainable
-    # boundary; pinning one tile can expose another, so run to fixpoint.
-    changed = True
-    while changed:
-        changed = False
-        for ft, block in zip(noisy, blocks):
-            sub_p, sub_pin = p[block], pinned[block]
-            free = ~sub_pin
-            nfree = int(free.sum())
-            if nfree == 0:
-                continue
-            settled = float(sub_p[sub_pin].sum())
-            target = ft.alpha * ft.tile.area
-            if target <= settled + _BOUNDARY_EPS:
-                sub_p[free] = 0.0
-            elif target >= settled + nfree - _BOUNDARY_EPS:
-                sub_p[free] = 1.0
-            else:
-                continue
-            sub_pin[free] = True
-            p[block], pinned[block] = sub_p, sub_pin
-            changed = True
-
-    k = len(noisy)
-    rows = []
-    targets = np.empty(k)
-    for j, (ft, block) in enumerate(zip(noisy, blocks)):
-        mask = np.zeros((n, m), dtype=bool)
-        mask[block] = True
-        targets[j] = ft.alpha * ft.tile.area - float(p[mask & pinned].sum())
-        mask &= ~pinned
-        rows.append(mask.ravel())
-    incidence = np.array(rows, dtype=float)  # k x (n*m), free entries only
-    areas = np.array([ft.tile.area for ft in noisy], dtype=float)
-
-    multipliers = np.zeros(k)
+    multipliers = np.zeros(len(ts.tiles))
     s = incidence.T @ multipliers
-    q = _sigmoid(s)
-    objective = float(np.logaddexp(0.0, s).sum() - multipliers @ targets)
-    budget = min(opts.max_sweeps, 500)
-    for _ in range(budget):
-        grad = incidence @ q - targets
-        residual = np.max(np.abs(grad) / areas) if k else 0.0
-        if k == 0 or residual <= opts.tolerance:
+    objective = float(sizes @ np.logaddexp(0.0, s) - multipliers @ targets)
+    for _ in range(_NEWTON_STEPS):
+        q = _sigmoid(s)
+        grad = incidence @ (sizes * q) - targets
+        residual = float(np.max(np.abs(grad) / areas, initial=0.0))
+        if residual <= opts.tolerance:
             break
-        weights = q * (1.0 - q)
-        hess = (incidence * weights) @ incidence.T
+        hess = (incidence * (sizes * q * (1.0 - q))) @ incidence.T
         ridge = 1e-12 * max(float(hess.diagonal().max()), 1.0)
-        step = np.linalg.solve(hess + ridge * np.eye(k), -grad)
+        step = np.linalg.solve(hess + ridge * np.eye(len(areas)), -grad)
         descent = float(grad @ step)
         if descent >= 0.0:  # numerical breakdown: fall back to steepest descent
             step = -grad
@@ -261,82 +234,29 @@ def _newton_fit(
         for _ in range(60):
             cand = multipliers + scale * step
             s2 = incidence.T @ cand
-            obj2 = float(np.logaddexp(0.0, s2).sum() - cand @ targets)
+            obj2 = float(sizes @ np.logaddexp(0.0, s2) - cand @ targets)
             if obj2 <= objective + 1e-4 * scale * descent:
                 break
-            q2 = _sigmoid(s2)
-            res2 = np.max(np.abs(incidence @ q2 - targets) / areas)
+            res2 = np.max(np.abs(incidence @ (sizes * _sigmoid(s2)) - targets) / areas)
             if res2 <= 0.5 * residual:
                 break
             scale *= 0.5
         multipliers, s, objective = cand, s2, obj2
-        q = _sigmoid(s)
 
-    flat = p.ravel()
-    free_flat = ~pinned.ravel()
-    flat[free_flat] = q[free_flat]
-    return flat.reshape(n, m)
-
-
-def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
-    """Fit the factorized maximum-entropy model for a tile set.
-
-    Starts from the uniform 1/2 matrix, clamps exact tiles, then sweeps
-    the noisy tiles in set order until every tile's model frequency is
-    within `opts.tolerance` of its target. If the sweeps stall -- which
-    happens when the optimum drives entries to exactly 0 or 1 -- the
-    fit switches to a Newton solve on the tile multipliers.
-    """
-    n, m = ts.dims
-    p, fixed = _clamp_exact(ts)
-    _check_feasible(ts, p, fixed)
-
-    noisy = [ft for ft in ts.tiles if not ft.exact]
-    blocks = [np.ix_(ft.tile.row_index(), ft.tile.col_index()) for ft in noisy]
-
-    sweep_budget = min(opts.max_sweeps, 64)
-    residual = _max_residual(ts, p)
-    sweeps = 0
-    while residual > opts.tolerance:
-        if sweeps >= sweep_budget:
-            p = _newton_fit(ts, noisy, blocks, opts)
-            residual = _max_residual(ts, p)
-            if residual > opts.tolerance:
-                raise NoConvergence(
-                    f"residual {residual:.3g} > tolerance "
-                    f"{opts.tolerance:.3g}; the given frequencies appear "
-                    f"mutually inconsistent"
-                )
-            break
-        for ft, block in zip(noisy, blocks):
-            vals = p[block]
-            a = ft.tile.area
-            target = ft.alpha * a
-            free = (vals > 0.0) & (vals < 1.0)
-            settled = float(vals[~free].sum())
-            nfree = int(free.sum())
-            if nfree == 0:
-                continue  # settled entries decide this tile entirely
-            room_lo, room_hi = settled, settled + nfree
-            if target <= room_lo + _BOUNDARY_EPS:
-                # all target mass already accounted for: free entries -> 0
-                vals[free] = 0.0
-            elif target >= room_hi - _BOUNDARY_EPS:
-                vals[free] = 1.0
-            else:
-                x = _solve_scale(vals[free], target - settled, opts)
-                vals[free] = bernoulli_update(vals[free], x)
-            p[block] = vals
-        sweeps += 1
-        residual = _max_residual(ts, p)
-
-    return EntryModel(dims=(n, m), p=p, fixed=fixed, fitted_for=ts, residual=residual)
+    eps = np.finfo(float)
+    p[~pinned] = np.clip(_sigmoid(s), eps.tiny, 1.0 - eps.epsneg)[label]
+    residual = _max_residual(ts, blocks, p)
+    if residual > opts.tolerance:
+        raise NoConvergence(
+            f"residual {residual:.3g} > tolerance {opts.tolerance:.3g}; "
+            f"the given frequencies appear mutually inconsistent"
+        )
+    return EntryModel(dims=ts.dims, p=p, fixed=fixed, fitted_for=ts, residual=residual)
 
 
-def _max_residual(ts: TileSet, p: np.ndarray) -> float:
+def _max_residual(ts: TileSet, blocks: list, p: np.ndarray) -> float:
     worst = 0.0
-    for ft in ts.tiles:
-        block = np.ix_(ft.tile.row_index(), ft.tile.col_index())
+    for ft, block in zip(ts.tiles, blocks):
         worst = max(worst, abs(float(p[block].mean()) - ft.alpha))
     return worst
 

@@ -236,6 +236,15 @@ class TestExitCodes:
         )
         assert result.exit_code == 2
 
+    def test_extra_dataset_row_is_input_error(self, runner, workdir):
+        (workdir / "long.txt").write_text(DATA + "1 2\n")
+        result = runner.invoke(
+            main,
+            ["distance", "--data", "long.txt", "--left", "t.tiles", "--right", "u.tiles"],
+        )
+        assert result.exit_code == 2
+        assert "long.txt:7" in result.output
+
     def test_out_of_range_tile_is_input_error(self, runner, workdir):
         (workdir / "oob.tiles").write_text('{"rows": [1], "cols": [99], "freq": 1.0}\n')
         result = runner.invoke(

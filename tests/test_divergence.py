@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from tiledive import (
+    BinaryDataset,
     FreqTile,
     Tile,
     TileSet,
+    annotate,
+    background_tiles,
     distance,
     exact_fastpath,
     fit,
@@ -55,6 +58,48 @@ class TestKl:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             kl(exact_fastpath(TileSet((2, 2))), exact_fastpath(TileSet((2, 3))))
+
+
+def _planted_result_sets(seed, n, biclusters):
+    """Noisy biclusters on a zero background, and three result sets that
+    each recover three of them (the first in full, the others possibly
+    trimmed to three quarters of their rows and columns)."""
+    rng = np.random.default_rng(seed)
+    data = np.zeros((n, n), dtype=np.uint8)
+    row_groups = np.array_split(rng.permutation(n), biclusters + 1)
+    col_groups = np.array_split(rng.permutation(n), biclusters + 1)
+    found = []
+    for rows, cols in zip(row_groups[:biclusters], col_groups[:biclusters]):
+        rows, cols = np.sort(rows), np.sort(cols)
+        data[np.ix_(rows, cols)] = rng.random((len(rows), len(cols))) < 0.8
+        found.append((rows, cols))
+    sets = []
+    for _ in range(3):
+        tiles = []
+        for q, pick in enumerate(rng.choice(biclusters, size=3, replace=False)):
+            rows, cols = found[pick]
+            if q > 0 and rng.random() < 0.5:
+                rows = np.sort(rng.choice(rows, size=max(2, int(0.75 * len(rows))), replace=False))
+                cols = np.sort(rng.choice(cols, size=max(2, int(0.75 * len(cols))), replace=False))
+            tiles.append(FreqTile(Tile(rows + 1, cols + 1), 0.0))
+        sets.append(TileSet((n, n), tuple(tiles)))
+    ds = BinaryDataset(data)
+    return ds, [annotate(ts, ds) for ts in sets]
+
+
+class TestSaturatedFreeEntries:
+    def test_planted_distance_with_margin_background_is_finite(self):
+        # On this instance a free entry of the left+background model
+        # saturates to within an ulp of 1 while the joint model leaves it
+        # just below; fit must keep free entries strictly inside (0, 1),
+        # or KL(joint || left+background) raises InfiniteDivergence.
+        ds, sets = _planted_result_sets([7, 2, 14], 21, 6)
+        bg = background_tiles("columns+rows", ds)
+        report = distance(sets[0], sets[2], bg)
+        assert math.isfinite(report.value)
+        assert report.value == pytest.approx(
+            (report.kl_m_t + report.kl_m_u) / report.kl_m_b, abs=1e-12
+        )
 
 
 class TestKlByEntropy:

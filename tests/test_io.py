@@ -39,6 +39,15 @@ def test_dataset_column_out_of_range(tmp_path):
         read_dataset(path)
 
 
+def test_dataset_rejects_lines_after_last_row(tmp_path):
+    path = tmp_path / "d.db"
+    path.write_text("2 3\n1\n2\n\n3\n")
+    with pytest.raises(InputFormatError, match=r":5:"):
+        read_dataset(path)
+    path.write_text("2 3\n1\n2\n\n  \n")  # trailing blank lines are fine
+    assert read_dataset(path).entries.tolist() == [[1, 0, 0], [0, 1, 0]]
+
+
 def test_tileset_round_trip(tmp_path, toy_data, toy_tiles):
     ts = make_set(toy_data, *toy_tiles.values())
     path = tmp_path / "t.tiles"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from tiledive import (
     entropy,
     exact_fastpath,
     fit,
+    margin_tiles,
     model_frequency,
 )
 from tiledive.maxent import FitOptions
@@ -226,5 +229,34 @@ class TestFitContracts:
     def test_inconsistent_noisy_frequencies_raise_no_convergence(self):
         tile = Tile([1, 2], [1, 2])
         ts = TileSet((2, 2), (FreqTile(tile, 0.3), FreqTile(tile, 0.7)))
+        start = time.perf_counter()
         with pytest.raises(NoConvergence):
-            fit(ts, FitOptions(tolerance=1e-9, max_sweeps=50))
+            fit(ts, FitOptions(tolerance=1e-9))
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        margin=st.sampled_from([None, "columns", "rows"]),
+    )
+    def test_meets_every_tile_and_only_settles_forced_entries(self, seed, margin):
+        rng = np.random.default_rng(seed)
+        n, m = (int(d) for d in rng.integers(2, 9, size=2))
+        data = random_dataset(rng, n, m, density=float(rng.uniform(0.1, 0.9)))
+        ts = random_annotated_set(rng, data, int(rng.integers(1, 7)))
+        if margin is not None:
+            ts = ts.union(margin_tiles(data, margin))
+        model = fit(ts)
+        for ft in ts:
+            assert abs(model_frequency(ft.tile, model) - ft.alpha) <= 1e-6
+        # Only clamped or pinned entries may be exactly 0 or 1. Pinning
+        # settles every free entry of a tile whose target sits on its
+        # attainable boundary, so each such entry lies in an exact tile
+        # or in a tile the model makes wholly deterministic.
+        deterministic = (model.p == 0.0) | (model.p == 1.0)
+        settled = model.fixed.copy()
+        for ft in ts:
+            block = np.ix_(ft.tile.row_index(), ft.tile.col_index())
+            if deterministic[block].all():
+                settled[block] = True
+        assert not (deterministic & ~settled).any()
