@@ -159,28 +159,52 @@ def _pin_boundary(ts: TileSet, blocks: list, p: np.ndarray, pinned: np.ndarray) 
 def _entry_classes(blocks: list, free: np.ndarray):
     """Group the free entries by the set of tiles covering them.
 
-    Returns each free entry's class (row-major), each class's free-entry
-    count and the k x C 0/1 tile-by-class incidence. Each tile splits
-    every class it touches; classes left without free entries are dropped.
+    Each tile splits every class it touches, so a class's label links
+    back, one covering tile per link, through the labels it was split
+    from. Walking those chains gives the sparse tile-by-class incidence
+    and, for the k x k Hessian, every ordered pair of tiles sharing a
+    class, in O(sum over classes of squared cover count) memory.
+    Returns each free entry's class (row-major), the class sizes, the
+    incidence (tiles, classes) and the pairs (flat k x k index, class).
+    Classes left without free entries are dropped.
     """
-    label = np.zeros(free.shape, dtype=np.intp)  # class 0: covered by no tile
-    count = 1
-    for block in blocks:
-        touched = np.zeros(count, dtype=bool)
-        touched[label[block]] = True
-        label[block] = count + (np.cumsum(touched) - 1)[label[block]]
-        count += int(touched.sum())
-    sizes = np.bincount(label[free], minlength=count)
-    label = (np.cumsum(sizes > 0) - 1)[label]
-    incidence = np.zeros((len(blocks), int((sizes > 0).sum())))
+    label = np.zeros(free.shape, dtype=np.intp)  # label 0: covered by no tile
+    parent, tile_of = [np.zeros(1, dtype=np.intp)], [np.full(1, -1)]
+    count, k = 1, len(blocks)
     for j, block in enumerate(blocks):
-        incidence[j, label[block][free[block]]] = 1.0
-    return label[free], sizes[sizes > 0].astype(float), incidence
+        old = label[block]
+        low = int(old.min())  # scan only the label range the tile meets
+        touched = np.zeros(int(old.max()) - low + 1, dtype=bool)
+        touched[old - low] = True
+        split = low + np.flatnonzero(touched)
+        label[block] = count + (np.cumsum(touched) - 1)[old - low]
+        parent.append(split)
+        tile_of.append(np.full(len(split), j))
+        count += len(split)
+    parent, tile_of = np.concatenate(parent), np.concatenate(tile_of)
+    sizes = np.bincount(label[free], minlength=count)
+    node = np.flatnonzero(sizes)  # each live class's label, walked up its chain
+    cls = np.arange(len(node))
+    none = np.zeros(0, dtype=np.intp)
+    tiles, classes, keys, owners, above = [none], [none], [none], [none], []
+    while (covered := node > 0).any():
+        node, cls = node[covered], cls[covered]
+        above = [u[covered] for u in above]  # tiles met further up the chain
+        t = tile_of[node]
+        tiles.append(t)
+        classes.append(cls)
+        keys += [t * (k + 1)] + [u * k + t for u in above] + [t * k + u for u in above]
+        owners += [cls] * (2 * len(above) + 1)
+        above.append(t)
+        node = parent[node]
+    label = (np.cumsum(sizes > 0) - 1)[label[free]]
+    sizes = sizes[sizes > 0].astype(float)
+    return label, sizes, *map(np.concatenate, (tiles, classes, keys, owners))
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
-    out = np.empty_like(s)
+    out = np.empty(s.shape)
     pos = s >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
     e = np.exp(s[~pos])
@@ -208,21 +232,35 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     blocks = [np.ix_(ft.tile.row_index(), ft.tile.col_index()) for ft in ts.tiles]
     pinned = fixed.copy()
     targets = _pin_boundary(ts, blocks, p, pinned)
-    label, sizes, incidence = _entry_classes(blocks, ~pinned)
-    areas = np.array([ft.tile.area for ft in ts.tiles], dtype=float)
+    # Tiles left without free entries are settled; only the rest enter the solve.
+    active = [j for j, block in enumerate(blocks) if not pinned[block].all()]
+    label, sizes, tiles, classes, pair_keys, pair_classes = _entry_classes(
+        [blocks[j] for j in active], ~pinned
+    )
+    k = len(active)
+    targets = targets[active]
+    areas = np.array([ts.tiles[j].tile.area for j in active], dtype=float)
 
-    multipliers = np.zeros(len(ts.tiles))
-    s = incidence.T @ multipliers
+    def class_log_odds(x):
+        return np.bincount(classes, weights=x[tiles], minlength=len(sizes))
+
+    def tile_sums(per_class):
+        return np.bincount(tiles, weights=per_class[classes], minlength=k)
+
+    multipliers = np.zeros(k)
+    s = class_log_odds(multipliers)
     objective = float(sizes @ np.logaddexp(0.0, s) - multipliers @ targets)
     for _ in range(_NEWTON_STEPS):
         q = _sigmoid(s)
-        grad = incidence @ (sizes * q) - targets
+        grad = tile_sums(sizes * q) - targets
         residual = float(np.max(np.abs(grad) / areas, initial=0.0))
         if residual <= opts.tolerance:
             break
-        hess = (incidence * (sizes * q * (1.0 - q))) @ incidence.T
+        curvature = (sizes * q * (1.0 - q))[pair_classes]
+        hess = np.bincount(pair_keys, weights=curvature, minlength=k * k).reshape(k, k)
         ridge = 1e-12 * max(float(hess.diagonal().max()), 1.0)
-        step = np.linalg.solve(hess + ridge * np.eye(len(areas)), -grad)
+        hess.flat[:: k + 1] += ridge
+        step = np.linalg.solve(hess, -grad)
         descent = float(grad @ step)
         if descent >= 0.0:  # numerical breakdown: fall back to steepest descent
             step = -grad
@@ -233,11 +271,11 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
         scale = 1.0
         for _ in range(60):
             cand = multipliers + scale * step
-            s2 = incidence.T @ cand
+            s2 = class_log_odds(cand)
             obj2 = float(sizes @ np.logaddexp(0.0, s2) - cand @ targets)
             if obj2 <= objective + 1e-4 * scale * descent:
                 break
-            res2 = np.max(np.abs(incidence @ (sizes * _sigmoid(s2)) - targets) / areas)
+            res2 = np.max(np.abs(tile_sums(sizes * _sigmoid(s2)) - targets) / areas)
             if res2 <= 0.5 * residual:
                 break
             scale *= 0.5

@@ -158,7 +158,7 @@ def test_criterion_3_fit_contract():
         m = int(rng.integers(3, 11))
         data = random_dataset(rng, n, m)
         ts = random_annotated_set(rng, data, int(rng.integers(1, 7)))
-        model = fit(ts)  # default options: tolerance 1e-6, 10000 sweeps
+        model = fit(ts)  # default tolerance 1e-6
         c.check(model.residual <= 1e-6, f"instance {i}: residual {model.residual}")
         for ft in ts:
             block = model.p[np.ix_(ft.tile.row_index(), ft.tile.col_index())]

@@ -267,8 +267,8 @@ class TestRandomizedProperties:
             t = random_annotated_set(rng, data, 3)
             u = random_annotated_set(rng, data, 3)
             b = random_annotated_set(rng, data, 1)
-            # union order differs, so the fits sweep in a different order;
-            # agreement is only up to the fit tolerance
+            # union order differs, so Newton solves for the multipliers in a
+            # different tile order; agreement is only up to the fit tolerance
             assert distance(t, u, b, TIGHT).value == pytest.approx(
                 distance(u, t, b, TIGHT).value, abs=1e-9
             )

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,21 @@ class TestFitContracts:
         with pytest.raises(NoConvergence):
             fit(ts, FitOptions(tolerance=1e-9))
         assert time.perf_counter() - start < 1.0
+
+    def test_margin_background_memory_is_linear_in_entries(self):
+        # Under a columns+rows background every entry is its own class,
+        # so a dense tile-by-class incidence alone would take
+        # 240 tiles x 14,400 entries x 8 B = 27.6 MB here.
+        data = random_dataset(np.random.default_rng(0), 120, 120, density=0.3)
+        ts = margin_tiles(data, "columns").union(margin_tiles(data, "rows"))
+        tracemalloc.start()
+        try:
+            model = fit(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.residual <= 1e-6
+        assert peak < 10 * 2**20
 
     @settings(max_examples=100, deadline=None)
     @given(
