@@ -6,7 +6,6 @@ from .core import (
     Tile,
     TileSet,
     annotate,
-    area_union,
     empirical_frequency,
 )
 from .convert import (
@@ -20,7 +19,7 @@ from .convert import (
     itemsets_to_tiles,
     margin_tiles,
 )
-from .divergence import DistanceReport, distance, jaccard_distance, kl, kl_by_entropy
+from .divergence import DistanceReport, distance, jaccard_distance, kl
 from .io import read_dataset, read_tileset, write_dataset, write_tileset
 from .maxent import (
     EntryModel,
@@ -49,7 +48,6 @@ __all__ = [
     "Tile",
     "TileSet",
     "annotate",
-    "area_union",
     "background_tiles",
     "bernoulli_update",
     "clustering_to_tiles",
@@ -64,7 +62,6 @@ __all__ = [
     "itemsets_to_tiles",
     "jaccard_distance",
     "kl",
-    "kl_by_entropy",
     "margin_tiles",
     "model_frequency",
     "read_dataset",

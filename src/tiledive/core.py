@@ -15,13 +15,13 @@ import numpy as np
 from .errors import ConflictingExactTiles, DimMismatch, OutOfBounds
 
 
-def _as_id_tuple(ids, upper: int, what: str) -> tuple[int, ...]:
-    """Normalize an id collection to a sorted duplicate-free tuple in [1, upper]."""
+def _as_id_tuple(ids, what: str) -> tuple[int, ...]:
+    """Normalize an id collection to a sorted duplicate-free tuple of positive ids."""
     out = tuple(sorted(set(int(i) for i in ids)))
     if not out:
         raise ValueError(f"{what} id set must be nonempty")
-    if out[0] < 1 or (upper is not None and out[-1] > upper):
-        raise OutOfBounds(f"{what} ids must lie in [1, {upper}], got {out[0]}..{out[-1]}")
+    if out[0] < 1:
+        raise OutOfBounds(f"{what} ids must be positive, got {out[0]}..{out[-1]}")
     return out
 
 
@@ -54,18 +54,8 @@ class BinaryDataset:
         """Read-only 0-based uint8 matrix."""
         return self._entries
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        """1-based entry access: data[i, j]."""
-        i, j = ij
-        if not (1 <= i <= self.n and 1 <= j <= self.m):
-            raise OutOfBounds(f"entry ({i}, {j}) outside {self.n}x{self.m}")
-        return int(self._entries[i - 1, j - 1])
-
     def ones_count(self) -> int:
         return int(self._entries.sum())
-
-    def density(self) -> float:
-        return self.ones_count() / (self.n * self.m)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryDataset) and np.array_equal(
@@ -84,31 +74,21 @@ class Tile:
     cols: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _as_id_tuple(self.rows, None, "row"))
-        object.__setattr__(self, "cols", _as_id_tuple(self.cols, None, "column"))
+        object.__setattr__(self, "rows", _as_id_tuple(self.rows, "row"))
+        object.__setattr__(self, "cols", _as_id_tuple(self.cols, "column"))
 
     @property
     def area(self) -> int:
         return len(self.rows) * len(self.cols)
 
-    def fits(self, n: int, m: int) -> bool:
-        return self.rows[-1] <= n and self.cols[-1] <= m
-
     def check_fits(self, n: int, m: int) -> None:
-        if not self.fits(n, m):
+        if self.rows[-1] > n or self.cols[-1] > m:
             raise OutOfBounds(f"tile {self} does not fit in {n}x{m}")
 
-    def row_index(self) -> np.ndarray:
-        """0-based row indices as a numpy array."""
-        return np.asarray(self.rows, dtype=np.intp) - 1
-
-    def col_index(self) -> np.ndarray:
-        """0-based column indices as a numpy array."""
-        return np.asarray(self.cols, dtype=np.intp) - 1
-
-    def entry_set(self) -> frozenset[tuple[int, int]]:
-        """All (i, j) entries covered, 1-based."""
-        return frozenset((i, j) for i in self.rows for j in self.cols)
+    def block(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based `np.ix_` index pair that selects the tile's area of an n x m array."""
+        rows = np.asarray(self.rows, dtype=np.intp) - 1
+        return np.ix_(rows, np.asarray(self.cols, dtype=np.intp) - 1)
 
     def __repr__(self) -> str:
         return f"Tile(rows={list(self.rows)}, cols={list(self.cols)})"
@@ -199,7 +179,7 @@ class TileSet:
         n, m = self.dims
         mask = np.zeros((n, m), dtype=bool)
         for ft in self.tiles:
-            mask[np.ix_(ft.tile.row_index(), ft.tile.col_index())] = True
+            mask[ft.tile.block()] = True
         return mask
 
     def __repr__(self) -> str:
@@ -209,16 +189,8 @@ class TileSet:
 def empirical_frequency(tile: Tile, data: BinaryDataset) -> float:
     """Proportion of 1-entries of `data` inside the tile's area."""
     tile.check_fits(data.n, data.m)
-    block = data.entries[np.ix_(tile.row_index(), tile.col_index())]
+    block = data.entries[tile.block()]
     return float(Fraction(int(block.sum()), tile.area))
-
-
-def area_union(ts: TileSet) -> frozenset[tuple[int, int]]:
-    """Exact union of member areas, as 1-based (i, j) pairs."""
-    out: set[tuple[int, int]] = set()
-    for ft in ts.tiles:
-        out.update(ft.tile.entry_set())
-    return frozenset(out)
 
 
 def annotate(ts: TileSet, data: BinaryDataset) -> TileSet:

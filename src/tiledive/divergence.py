@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TileSet, area_union
+from .core import TileSet
 from .errors import (
     DimMismatch,
     ConsistencyError,
@@ -21,7 +21,7 @@ from .errors import (
     NoConvergence,
     NotExact,
 )
-from .maxent import EntryModel, FitOptions, entropy, exact_fastpath, fit
+from .maxent import EntryModel, FitOptions, exact_fastpath, fit
 
 # Below this, KL(M || bg) is treated as zero and the distance defined as 1.
 _ZERO_KL = 1e-12
@@ -65,17 +65,6 @@ def kl(model_a: EntryModel, model_b: EntryModel) -> float:
     return _entry_kl(model_a.p, model_b.p)
 
 
-def kl_by_entropy(model_a: EntryModel, model_b: EntryModel) -> float:
-    """KL(model_a || model_b) via the entropy difference H(b) - H(a).
-
-    Valid under the same subset precondition as kl(); serves as an
-    independent cross-check path.
-    """
-    if model_a.dims != model_b.dims:
-        raise DimMismatch(f"model dims differ: {model_a.dims} vs {model_b.dims}")
-    return entropy(model_b) - entropy(model_a)
-
-
 def jaccard_distance(t: TileSet, u: TileSet, b: TileSet) -> float:
     """1 - |X n Y| / |X u Y| with X, Y the covered areas outside b's area.
 
@@ -85,13 +74,13 @@ def jaccard_distance(t: TileSet, u: TileSet, b: TileSet) -> float:
     for ts in (t, u, b):
         if not ts.all_exact():
             raise NotExact("jaccard_distance requires all tiles to be exact")
-    bg = area_union(b)
-    x = area_union(t) - bg
-    y = area_union(u) - bg
-    union = len(x | y)
+    bg = b.area_mask()
+    x = t.area_mask() & ~bg
+    y = u.area_mask() & ~bg
+    union = int(np.count_nonzero(x | y))
     if union == 0:
         return 1.0
-    return 1.0 - len(x & y) / union
+    return 1.0 - int(np.count_nonzero(x & y)) / union
 
 
 def _fit_or_fast(ts: TileSet, opts: FitOptions) -> EntryModel:
@@ -105,7 +94,6 @@ def distance(
     u: TileSet,
     b: TileSet | None = None,
     opts: FitOptions = FitOptions(),
-    allow_jaccard: bool = True,
 ) -> DistanceReport:
     """Normalized distance between tile sets t and u given background b.
 
@@ -132,7 +120,7 @@ def distance(
     kl_m_b = kl(model_m, model_b)
 
     all_exact = t.all_exact() and u.all_exact() and b.all_exact()
-    if allow_jaccard and all_exact:
+    if all_exact:
         value = jaccard_distance(t, u, b)
         return DistanceReport(value, kl_m_t, kl_m_u, kl_m_b, used_jaccard_path=True)
 

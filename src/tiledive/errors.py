@@ -41,9 +41,5 @@ class NotExact(TilediveError):
     """An operation restricted to exact tiles received a noisy one."""
 
 
-class SizeLimit(TilediveError):
-    """A brute-force operation was asked to enumerate too large a space."""
-
-
 class InfiniteSurprise(TilediveError):
     """A candidate frequency disagrees with a deterministic model entry."""

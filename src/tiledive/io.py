@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BinaryDataset, FreqTile, Tile, TileSet
+from .core import BinaryDataset, FreqTile, Tile, TileSet, empirical_frequency
 from .errors import InputFormatError
 
 
@@ -93,8 +93,6 @@ def read_tileset(
     `data`; a dataset is required in that case. Dims come from `data`
     unless given explicitly.
     """
-    from .core import empirical_frequency
-
     if dims is None:
         if data is None:
             raise ValueError("read_tileset needs either data or dims")
@@ -103,27 +101,21 @@ def read_tileset(
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
+        # A malformed value can surface as any of these, e.g. TypeError
+        # from "rows": 1 or "freq": null; each names the line.
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
-            raise InputFormatError(f"{path}:{lineno}: need 'rows' and 'cols'")
-        try:
+            if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
+                raise InputFormatError("need 'rows' and 'cols'")
             tile = Tile(_expand_ids(obj["rows"]), _expand_ids(obj["cols"]))
-        except (ValueError, InputFormatError) as exc:
-            raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-        if "freq" in obj:
-            alpha = float(obj["freq"])
-        elif data is not None:
-            alpha = empirical_frequency(tile, data)
-        else:
-            raise InputFormatError(
-                f"{path}:{lineno}: no 'freq' given and no dataset to annotate from"
-            )
-        try:
+            if "freq" in obj:
+                alpha = float(obj["freq"])
+            elif data is not None:
+                alpha = empirical_frequency(tile, data)
+            else:
+                raise InputFormatError("no 'freq' given and no dataset to annotate from")
             tiles.append(FreqTile(tile, alpha))
-        except ValueError as exc:
+        except (ValueError, TypeError, InputFormatError) as exc:
             raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
     try:
         return TileSet(dims, tuple(tiles))

@@ -21,7 +21,6 @@ from .errors import (
     InfeasibleTile,
     NoConvergence,
     NotExact,
-    OutOfBounds,
 )
 
 # Slack for deciding a target sits exactly on the attainable boundary
@@ -52,19 +51,11 @@ class EntryModel:
     dims: tuple[int, int]
     p: np.ndarray  # n x m probabilities
     fixed: np.ndarray  # n x m bool, entries clamped by exact tiles
-    fitted_for: TileSet
     residual: float
 
     def __post_init__(self):
         self.p.setflags(write=False)
         self.fixed.setflags(write=False)
-
-    def prob(self, i: int, j: int) -> float:
-        """1-based probability lookup."""
-        n, m = self.dims
-        if not (1 <= i <= n and 1 <= j <= m):
-            raise OutOfBounds(f"entry ({i}, {j}) outside {n}x{m}")
-        return float(self.p[i - 1, j - 1])
 
 
 def bernoulli_update(y, x):
@@ -81,7 +72,7 @@ def model_frequency(tile: Tile, model: EntryModel) -> float:
     """Mean of the model's probabilities over the tile's area."""
     n, m = model.dims
     tile.check_fits(n, m)
-    return float(model.p[np.ix_(tile.row_index(), tile.col_index())].mean())
+    return float(model.p[tile.block()].mean())
 
 
 def entropy(model: EntryModel) -> float:
@@ -102,7 +93,7 @@ def _clamp_exact(ts: TileSet) -> tuple[np.ndarray, np.ndarray]:
     for idx, ft in enumerate(ts.tiles):
         if not ft.exact:
             continue
-        block = np.ix_(ft.tile.row_index(), ft.tile.col_index())
+        block = ft.tile.block()
         clash = fixed[block] & (p[block] != ft.alpha)
         if clash.any():
             raise ConflictingExactTiles(
@@ -229,7 +220,7 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     when a tile ends further than `opts.tolerance` from its target.
     """
     p, fixed = _clamp_exact(ts)
-    blocks = [np.ix_(ft.tile.row_index(), ft.tile.col_index()) for ft in ts.tiles]
+    blocks = [ft.tile.block() for ft in ts.tiles]
     pinned = fixed.copy()
     targets = _pin_boundary(ts, blocks, p, pinned)
     # Tiles left without free entries are settled; only the rest enter the solve.
@@ -289,7 +280,7 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
             f"residual {residual:.3g} > tolerance {opts.tolerance:.3g}; "
             f"the given frequencies appear mutually inconsistent"
         )
-    return EntryModel(dims=ts.dims, p=p, fixed=fixed, fitted_for=ts, residual=residual)
+    return EntryModel(dims=ts.dims, p=p, fixed=fixed, residual=residual)
 
 
 def _max_residual(ts: TileSet, blocks: list, p: np.ndarray) -> float:
@@ -305,4 +296,4 @@ def exact_fastpath(ts: TileSet) -> EntryModel:
         if not ft.exact:
             raise NotExact(f"exact_fastpath requires exact tiles, got {ft}")
     p, fixed = _clamp_exact(ts)
-    return EntryModel(dims=ts.dims, p=p, fixed=fixed, fitted_for=ts, residual=0.0)
+    return EntryModel(dims=ts.dims, p=p, fixed=fixed, residual=0.0)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tiledive import BinaryDataset, FreqTile, Tile, TileSet, annotate
+from tiledive import BinaryDataset, FreqTile, Tile, TileSet, annotate, fit, kl
+from tiledive.divergence import _ZERO_KL
 
 TOY_ROWS = [
     [1, 1, 0, 0, 1],
@@ -67,6 +68,18 @@ def random_annotated_set(
     return make_set(data, *tiles)
 
 
+def kl_ratio(t: TileSet, u: TileSet, b: TileSet, opts) -> float:
+    """The general distance (KL(M || U+B) + KL(M || T+B)) / KL(M || B),
+    with M fitted for T+U+B, from `fit` and `kl` alone: the KL ratio
+    that `distance` replaces by the Jaccard form on all-exact sets.
+    """
+    model_m = fit(t.union(u, b), opts)
+    kl_m_b = kl(model_m, fit(b, opts))
+    if kl_m_b <= _ZERO_KL:
+        return 1.0
+    return (kl(model_m, fit(u.union(b), opts)) + kl(model_m, fit(t.union(b), opts))) / kl_m_b
+
+
 # Populated by the acceptance suite; printed after the run so each
 # criterion gets exactly one visible pass/fail line.
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
@@ -98,7 +111,7 @@ def random_exact_instance(rng: np.random.Generator, n: int, m: int, sizes):
         while len(tiles) < k and attempts < 50 * k:
             attempts += 1
             tile = random_tile(rng, n, m)
-            block = np.ix_(tile.row_index(), tile.col_index())
+            block = tile.block()
             want_one = bool(rng.integers(0, 2))
             if want_one and zeros_mask[block].any():
                 want_one = False

@@ -3,7 +3,7 @@
 Enumerates every n x m binary dataset as a bit pattern (n*m <= 16, so
 at most 65536 of them) and fits the maximum-entropy joint distribution
 by iterative proportional fitting directly on the dataset weights.
-Test-only: the production modules never call this.
+The tests check the package against it and against `kl_by_entropy`.
 """
 
 from __future__ import annotations
@@ -12,10 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TileSet
-from .errors import InfiniteDivergence, NoConvergence, SizeLimit
+from tiledive import EntryModel, TileSet, entropy
+from tiledive.errors import DimMismatch, InfiniteDivergence, NoConvergence, TilediveError
 
 MAX_CELLS = 16
+
+
+class SizeLimit(TilediveError):
+    """A brute-force operation was asked to enumerate too large a space."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,3 +231,14 @@ def joint_kl(a: JointDistribution, b: JointDistribution) -> float:
         raise InfiniteDivergence("support of a is not contained in support of b")
     mask = wa > 0.0
     return float((wa[mask] * np.log(wa[mask] / wb[mask])).sum())
+
+
+def kl_by_entropy(model_a: EntryModel, model_b: EntryModel) -> float:
+    """KL(model_a || model_b) via the entropy difference H(b) - H(a).
+
+    Valid under the same subset precondition as `tiledive.kl`; serves as
+    an independent cross-check path.
+    """
+    if model_a.dims != model_b.dims:
+        raise DimMismatch(f"model dims differ: {model_a.dims} vs {model_b.dims}")
+    return entropy(model_b) - entropy(model_a)

@@ -21,18 +21,18 @@ from tiledive import (
     fitamin,
     fruits,
     kl,
-    kl_by_entropy,
 )
 from tiledive.maxent import FitOptions
-from tiledive.oracle import ipf_maxent, joint_kl
 
 from conftest import (
     ACCEPTANCE_RESULTS,
+    kl_ratio,
     make_set,
     random_annotated_set,
     random_dataset,
     random_exact_instance,
 )
+from oracle import ipf_maxent, joint_kl, kl_by_entropy
 from test_maxent import GOLDEN_B, GOLDEN_C, GOLDEN_D, GOLDEN_E, GOLDEN_F, GOLDEN_G
 
 TIGHT = FitOptions(tolerance=1e-12)
@@ -141,7 +141,7 @@ def test_criterion_2_exact_distance_is_jaccard():
         m = int(rng.integers(3, 9))
         sizes = [int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(0, 3))]
         (t, u, b), _ = random_exact_instance(rng, n, m, sizes)
-        general = distance(t, u, b, TIGHT, allow_jaccard=False).value
+        general = kl_ratio(t, u, b, TIGHT)
         fast = distance(t, u, b, TIGHT).value
         c.check(
             abs(general - fast) <= 1e-9,
@@ -161,7 +161,7 @@ def test_criterion_3_fit_contract():
         model = fit(ts)  # default tolerance 1e-6
         c.check(model.residual <= 1e-6, f"instance {i}: residual {model.residual}")
         for ft in ts:
-            block = model.p[np.ix_(ft.tile.row_index(), ft.tile.col_index())]
+            block = model.p[ft.tile.block()]
             err = abs(float(block.mean()) - ft.alpha)
             c.check(err <= 1e-6, f"instance {i}: tile residual {err}")
     c.finish()
@@ -263,13 +263,9 @@ def _redescription_instance(rng, n=8):
     overlap the target are excluded on purpose: a single early pick of
     such a tile can cost greedy far more than any constant bound.
     """
-    from tiledive import area_union
-
     (target, rand_pool, bg), _ = random_exact_instance(rng, n, n, [3, 6, 1])
-    target_area = area_union(target)
-    cands = [
-        ft for ft in rand_pool.tiles if not (ft.tile.entry_set() & target_area)
-    ][:3]
+    target_area = target.area_mask()
+    cands = [ft for ft in rand_pool.tiles if not target_area[ft.tile.block()].any()][:3]
     source = target.tiles
     while len(cands) < 10:
         ft = source[int(rng.integers(0, len(source)))]

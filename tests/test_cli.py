@@ -253,6 +253,15 @@ class TestExitCodes:
         )
         assert result.exit_code == 2
 
+    def test_malformed_tile_value_is_input_error(self, runner, workdir):
+        (workdir / "bad.tiles").write_text(T_SET + '{"rows": [1], "cols": [1], "freq": null}\n')
+        result = runner.invoke(
+            main,
+            ["distance", "--data", "data.txt", "--left", "bad.tiles", "--right", "u.tiles"],
+        )
+        assert result.exit_code == 2
+        assert "bad.tiles:3" in result.output
+
     def test_unknown_background_is_input_error(self, runner, workdir):
         result = runner.invoke(
             main,

@@ -1,15 +1,17 @@
+import importlib.util
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tiledive
 from tiledive import (
     BinaryDataset,
     FreqTile,
     Tile,
     TileSet,
     annotate,
-    area_union,
     empirical_frequency,
 )
 from tiledive.errors import ConflictingExactTiles, OutOfBounds
@@ -29,7 +31,7 @@ class TestTileValidation:
             Tile([], [1])
 
     def test_nonpositive_ids_rejected(self):
-        with pytest.raises(OutOfBounds):
+        with pytest.raises(OutOfBounds, match="row ids must be positive"):
             Tile([0, 1], [1])
 
     def test_freq_tile_range(self):
@@ -63,7 +65,7 @@ class TestEmpiricalFrequency:
     def test_single_entry_tile_equals_entry(self, toy_data):
         for i in range(1, 6):
             for j in range(1, 6):
-                assert empirical_frequency(Tile([i], [j]), toy_data) == toy_data[i, j]
+                assert empirical_frequency(Tile([i], [j]), toy_data) == toy_data.entries[i - 1, j - 1]
 
     def test_out_of_bounds(self, toy_data):
         with pytest.raises(OutOfBounds):
@@ -88,23 +90,24 @@ class TestEmpiricalFrequency:
         assert whole == pytest.approx(mix, abs=1e-12)
 
 
-class TestAreaUnion:
+class TestAreaMask:
     def test_toy_union_t2_t4(self, toy_data, toy_tiles):
         ts = make_set(toy_data, toy_tiles[2], toy_tiles[4])
-        assert len(area_union(ts)) == 10
+        assert np.count_nonzero(ts.area_mask()) == 10
 
     def test_empty(self):
-        assert area_union(TileSet((3, 3))) == frozenset()
+        mask = TileSet((3, 3)).area_mask()
+        assert mask.shape == (3, 3) and not mask.any()
 
     def test_duplicate_tiles_idempotent(self, toy_data, toy_tiles):
         one = make_set(toy_data, toy_tiles[4])
         two = make_set(toy_data, toy_tiles[4], toy_tiles[4])
-        assert area_union(one) == area_union(two)
+        assert np.array_equal(one.area_mask(), two.area_mask())
 
     def test_monotone_under_addition(self, toy_data, toy_tiles):
         ts = make_set(toy_data, toy_tiles[2])
         grown = make_set(toy_data, toy_tiles[2], toy_tiles[5])
-        assert area_union(ts) <= area_union(grown)
+        assert not (ts.area_mask() & ~grown.area_mask()).any()
 
 
 class TestAnnotate:
@@ -142,3 +145,9 @@ class TestUnion:
         b = make_set(toy_data, toy_tiles[4], toy_tiles[3])
         merged = a.union(b)
         assert [ft.tile for ft in merged] == [toy_tiles[2], toy_tiles[4], toy_tiles[3]]
+
+
+def test_public_names_resolve_and_oracle_is_not_shipped():
+    for name in tiledive.__all__:
+        assert getattr(tiledive, name) is not None, name
+    assert importlib.util.find_spec("tiledive.oracle") is None

@@ -78,6 +78,17 @@ def test_tileset_invalid_json_names_line(tmp_path):
         read_tileset(path, dims=(2, 2))
 
 
+@pytest.mark.parametrize("line", [
+    '{"rows": [1], "cols": [1], "freq": null}',
+    '{"rows": 1, "cols": [1]}',
+])
+def test_tileset_malformed_value_names_line(tmp_path, line):
+    path = tmp_path / "t.tiles"
+    path.write_text('{"rows": [1], "cols": [1], "freq": 1}\n' + line + "\n")
+    with pytest.raises(InputFormatError, match=r"t\.tiles:2: "):
+        read_tileset(path, dims=(2, 2))
+
+
 def test_random_round_trips(tmp_path):
     rng = np.random.default_rng(7)
     for i in range(10):

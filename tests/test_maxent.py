@@ -272,7 +272,7 @@ class TestFitContracts:
         deterministic = (model.p == 0.0) | (model.p == 1.0)
         settled = model.fixed.copy()
         for ft in ts:
-            block = np.ix_(ft.tile.row_index(), ft.tile.col_index())
+            block = ft.tile.block()
             if deterministic[block].all():
                 settled[block] = True
         assert not (deterministic & ~settled).any()

@@ -19,11 +19,10 @@ from tiledive import (
     fit,
     kl,
 )
-from tiledive.errors import SizeLimit
 from tiledive.maxent import FitOptions
-from tiledive.oracle import JointDistribution, ipf_maxent, joint_kl
 
 from conftest import make_set, random_annotated_set, random_dataset
+from oracle import JointDistribution, SizeLimit, ipf_maxent, joint_kl
 
 TIGHT = FitOptions(tolerance=1e-12)
 
