@@ -96,9 +96,12 @@ def convert_itemsets(input_file, data, output):
     """Convert itemsets (one per line, column ids) into exact tiles."""
     ds = read_dataset(data)
     itemsets = []
-    for line in Path(input_file).read_text().splitlines():
+    for lineno, line in enumerate(Path(input_file).read_text().splitlines(), start=1):
         if line.strip():
-            itemsets.append(tuple(int(tok) for tok in line.split()))
+            try:
+                itemsets.append(tuple(int(tok) for tok in line.split()))
+            except ValueError as exc:
+                raise InputFormatError(f"{input_file}:{lineno}: {exc}") from exc
     result = itemsets_to_tiles(ItemsetResult(tuple(itemsets)), ds)
     if result.skipped:
         click.echo(f"warning: skipped {result.skipped} itemset(s) with empty support", err=True)
@@ -118,9 +121,12 @@ def convert_clustering(input_file, data, mode, output):
         if not line.strip():
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise InputFormatError(f"{input_file}:{lineno}: expected 'row cluster'")
-        labels[int(parts[0])] = int(parts[1])
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected 'row cluster'")
+            labels[int(parts[0])] = int(parts[1])
+        except ValueError as exc:
+            raise InputFormatError(f"{input_file}:{lineno}: {exc}") from exc
     k = max(labels.values(), default=0)
     ts = clustering_to_tiles(ClusteringResult(labels, k), ds, mode)
     _emit(tileset_to_lines(ts), output)

@@ -22,7 +22,7 @@ class ConflictingExactTiles(TilediveError):
 
 
 class InfeasibleTile(TilediveError):
-    """A tile's target frequency is unattainable given clamped entries."""
+    """A tile's target frequency is unattainable given settled entries."""
 
 
 class NoConvergence(TilediveError):

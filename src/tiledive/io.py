@@ -66,11 +66,13 @@ def read_dataset(path) -> BinaryDataset:
             raise InputFormatError(f"{path}:{lineno}: line after the {n} row lines")
     entries = np.zeros((n, m), dtype=np.uint8)
     for i in range(n):
-        cols = _expand_ids(lines[i + 1].split())
-        for j in cols:
-            if not 1 <= j <= m:
-                raise InputFormatError(f"{path}:{i + 2}: column id {j} outside [1, {m}]")
-            entries[i, j - 1] = 1
+        try:
+            for j in _expand_ids(lines[i + 1].split()):
+                if not 1 <= j <= m:
+                    raise InputFormatError(f"column id {j} outside [1, {m}]")
+                entries[i, j - 1] = 1
+        except InputFormatError as exc:
+            raise InputFormatError(f"{path}:{i + 2}: {exc}") from exc
     return BinaryDataset(entries)
 
 

@@ -46,16 +46,14 @@ class FitOptions:
 
 @dataclass(frozen=True, eq=False)
 class EntryModel:
-    """A fitted factorized model: per-entry P[(i,j) = 1] plus a clamp mask."""
+    """A fitted factorized model: per-entry P[(i,j) = 1]."""
 
     dims: tuple[int, int]
     p: np.ndarray  # n x m probabilities
-    fixed: np.ndarray  # n x m bool, entries clamped by exact tiles
     residual: float
 
     def __post_init__(self):
         self.p.setflags(write=False)
-        self.fixed.setflags(write=False)
 
 
 def bernoulli_update(y, x):
@@ -85,66 +83,57 @@ def entropy(model: EntryModel) -> float:
     return float(terms.sum())
 
 
-def _clamp_exact(ts: TileSet) -> tuple[np.ndarray, np.ndarray]:
-    """Apply exact tiles: returns (p, fixed) with conflicts rejected."""
-    n, m = ts.dims
-    p = np.full((n, m), 0.5)
-    fixed = np.zeros((n, m), dtype=bool)
-    for idx, ft in enumerate(ts.tiles):
-        if not ft.exact:
-            continue
-        block = ft.tile.block()
-        clash = fixed[block] & (p[block] != ft.alpha)
-        if clash.any():
-            raise ConflictingExactTiles(
-                f"tile #{idx + 1} ({ft.tile}) forces entries already "
-                f"clamped to the opposite value"
-            )
-        p[block] = ft.alpha
-        fixed[block] = True
-    return p, fixed
+def _settle(ts: TileSet, blocks: list) -> tuple[np.ndarray, list, np.ndarray]:
+    """Settle the entries that exact tiles and boundary targets force.
 
-
-def _pin_boundary(ts: TileSet, blocks: list, p: np.ndarray, pinned: np.ndarray) -> np.ndarray:
-    """Pin the entries that targets on the attainable boundary force.
-
-    A tile's target mass lies between its settled mass (entries clamped
-    or pinned so far) and that plus its free-entry count. At the lower
-    end every free entry must be 0, at the upper end 1; pinning one tile
-    can expose another, so the pass runs to a fixpoint. A target outside
-    the range raises InfeasibleTile. Returns each tile's target mass
-    minus its settled mass: what its free entries must still carry.
+    A tile's target mass lies between its settled mass and that plus
+    its free-entry count. At the lower end every free entry must be 0,
+    at the upper end 1; an exact tile always sits at one end. Settling
+    one tile can expose another, so the pass runs to a fixpoint, and a
+    tile leaves it once settled. Exact tiles go first: only other exact
+    tiles can then have settled an exact tile's entries, so a target
+    outside the range raises ConflictingExactTiles for an exact tile and
+    InfeasibleTile for a noisy one, whatever the tile order. Free
+    entries hold 1/2, their value in the closed form for exact tiles,
+    and settled ones 0 or 1, so p alone tells them apart; a block's
+    settled mass is its sum less half its free count, exact since every
+    term is a multiple of 1/2. Returns (p, the tiles left open, the mass
+    their free entries must still carry).
     """
+    p = np.full(ts.dims, 0.5)
+    still = sorted(range(len(blocks)), key=lambda j: not ts.tiles[j].exact)
     changed = True
     while changed:
         changed = False
-        rest = []
-        for idx, (ft, block) in enumerate(zip(ts.tiles, blocks)):
-            sub_p, sub_pin = p[block], pinned[block]
-            free = ~sub_pin
-            nfree = int(free.sum())
-            settled = float(sub_p[sub_pin].sum())
+        tiles, still, rest = still, [], []
+        for j in tiles:
+            ft, block = ts.tiles[j], blocks[j]
+            sub_p = p[block]
+            free = sub_p == 0.5
             a = ft.tile.area
+            nfree = int(np.count_nonzero(free))
+            settled = float(sub_p.sum()) - 0.5 * nfree
             target = ft.alpha * a
             if not settled - _BOUNDARY_EPS <= target <= settled + nfree + _BOUNDARY_EPS:
-                raise InfeasibleTile(
-                    f"tile #{idx + 1} ({ft.tile}) wants frequency {ft.alpha} "
+                error = ConflictingExactTiles if ft.exact else InfeasibleTile
+                raise error(
+                    f"tile #{j + 1} ({ft.tile}) wants frequency {ft.alpha} "
                     f"but settled entries restrict it to "
                     f"[{settled / a}, {(settled + nfree) / a}]"
                 )
-            rest.append(target - settled)
             if nfree == 0:
                 continue  # settled entries decide this tile entirely
             if target <= settled + _BOUNDARY_EPS:
-                sub_p[free] = 0.0
+                value = 0.0
             elif target >= settled + nfree - _BOUNDARY_EPS:
-                sub_p[free] = 1.0
+                value = 1.0
             else:
+                still.append(j)
+                rest.append(target - settled)
                 continue
-            sub_pin[free] = True
-            p[block], pinned[block] = sub_p, sub_pin
+            p[block] = np.where(free, value, sub_p)
             changed = True
-    return np.array(rest)
+    return p, still, np.array(rest)
 
 
 def _entry_classes(blocks: list, free: np.ndarray):
@@ -206,7 +195,7 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     """Fit the factorized maximum-entropy model for a tile set.
 
-    Clamps exact tiles and pins the entries that targets on the
+    Settles the entries that exact tiles and other targets on the
     attainable boundary force to 0 or 1. The free entries left are
     grouped into entry classes, and one damped Newton solve finds the
     tile multipliers: a class's log-odds is the sum of the multipliers
@@ -214,22 +203,19 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     size times log(1 + e^log-odds), minus the multipliers dotted with
     the targets -- is convex and smooth, and its gradient is each
     tile's model mass minus its target. Free entries are kept strictly
-    inside (0, 1), so only clamped or pinned entries are deterministic.
+    inside (0, 1), so only settled entries are deterministic.
 
     Raises InfeasibleTile for an unattainable target, and NoConvergence
     when a tile ends further than `opts.tolerance` from its target.
     """
-    p, fixed = _clamp_exact(ts)
     blocks = [ft.tile.block() for ft in ts.tiles]
-    pinned = fixed.copy()
-    targets = _pin_boundary(ts, blocks, p, pinned)
-    # Tiles left without free entries are settled; only the rest enter the solve.
-    active = [j for j, block in enumerate(blocks) if not pinned[block].all()]
+    # Only the tiles the settle pass leaves open enter the solve.
+    p, active, targets = _settle(ts, blocks)
+    free = p == 0.5  # settled entries hold 0 or 1
     label, sizes, tiles, classes, pair_keys, pair_classes = _entry_classes(
-        [blocks[j] for j in active], ~pinned
+        [blocks[j] for j in active], free
     )
     k = len(active)
-    targets = targets[active]
     areas = np.array([ts.tiles[j].tile.area for j in active], dtype=float)
 
     def class_log_odds(x):
@@ -273,14 +259,14 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
         multipliers, s, objective = cand, s2, obj2
 
     eps = np.finfo(float)
-    p[~pinned] = np.clip(_sigmoid(s), eps.tiny, 1.0 - eps.epsneg)[label]
+    p[free] = np.clip(_sigmoid(s), eps.tiny, 1.0 - eps.epsneg)[label]
     residual = _max_residual(ts, blocks, p)
     if residual > opts.tolerance:
         raise NoConvergence(
             f"residual {residual:.3g} > tolerance {opts.tolerance:.3g}; "
             f"the given frequencies appear mutually inconsistent"
         )
-    return EntryModel(dims=ts.dims, p=p, fixed=fixed, residual=residual)
+    return EntryModel(dims=ts.dims, p=p, residual=residual)
 
 
 def _max_residual(ts: TileSet, blocks: list, p: np.ndarray) -> float:
@@ -291,9 +277,9 @@ def _max_residual(ts: TileSet, blocks: list, p: np.ndarray) -> float:
 
 
 def exact_fastpath(ts: TileSet) -> EntryModel:
-    """Closed form for all-exact tile sets: clamp areas, 1/2 elsewhere."""
+    """Closed form for all-exact tile sets: the settle pass, 1/2 elsewhere."""
     for ft in ts.tiles:
         if not ft.exact:
             raise NotExact(f"exact_fastpath requires exact tiles, got {ft}")
-    p, fixed = _clamp_exact(ts)
-    return EntryModel(dims=ts.dims, p=p, fixed=fixed, residual=0.0)
+    p, _, _ = _settle(ts, [ft.tile.block() for ft in ts.tiles])
+    return EntryModel(dims=ts.dims, p=p, residual=0.0)

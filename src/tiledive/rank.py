@@ -73,38 +73,33 @@ def fitamin(
     model_bg = _fit_or_fast(background, opts)
     kl_full_bg = kl(model_full, model_bg)
 
-    def prefix_distance(prefix: TileSet) -> float:
-        # distance(prefix, tiles; background): the joint of all three
-        # sets is `full`, and KL(full || tiles+background) vanishes.
+    def prefix_fit(prefix: TileSet) -> tuple[EntryModel, float]:
+        # The model of prefix + background, and distance(prefix, tiles;
+        # background): the joint of all three sets is `full`, and
+        # KL(full || tiles+background) vanishes. If the tiles add nothing
+        # to the background, KL(full || bg) = KL(full || prefix+bg) +
+        # KL(prefix+bg || bg) says no prefix does either.
         if kl_full_bg <= _ZERO_KL:
-            return 1.0
+            return model_bg, 1.0
         model_pb = _fit_or_fast(prefix.union(background), opts)
-        return kl(model_full, model_pb) / kl_full_bg
+        return model_pb, kl(model_full, model_pb) / kl_full_bg
 
     prefix = TileSet(tiles.dims)
     remaining = list(tiles.tiles)
-    current_d = prefix_distance(prefix)
+    model_pb, current_d = model_bg, 1.0  # the empty prefix is at distance 1
     order: list[FreqTile] = []
     gains: list[float] = []
     trace: list[float] = []
 
     while remaining:
+        # Ties go to the earlier candidate: min and max keep the first.
         if mode == "exact":
-            best_i, best_d = 0, None
-            for i, cand in enumerate(remaining):
-                d = prefix_distance(prefix.with_tile(cand))
-                if best_d is None or d < best_d:
-                    best_i, best_d = i, d
-            pick, d_after = best_i, best_d
+            fits = (prefix_fit(prefix.with_tile(cand)) for cand in remaining)
+            pick, (model_pb, d_after) = min(enumerate(fits), key=lambda f: f[1][1])
         else:
-            model_pb = _fit_or_fast(prefix.union(background), opts)
-            best_i, best_s = 0, None
-            for i, cand in enumerate(remaining):
-                s = surprise_score(cand, model_pb)
-                if best_s is None or s > best_s:
-                    best_i, best_s = i, s
-            pick = best_i
-            d_after = prefix_distance(prefix.with_tile(remaining[pick]))
+            scores = [surprise_score(cand, model_pb) for cand in remaining]
+            pick = scores.index(max(scores))
+            model_pb, d_after = prefix_fit(prefix.with_tile(remaining[pick]))
 
         chosen = remaining.pop(pick)
         prefix = prefix.with_tile(chosen)

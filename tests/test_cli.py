@@ -245,6 +245,17 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "long.txt:7" in result.output
 
+    @pytest.mark.parametrize("args, name, text", [
+        (["distance", "--left", "t.tiles", "--right", "u.tiles"], "data.txt", "2 3\nx\n1\n"),
+        (["convert", "itemsets", "bad.txt"], "bad.txt", "1 2\n4 x\n"),
+        (["convert", "clustering", "bad.txt"], "bad.txt", "1 1\n2 one\n"),
+    ], ids=["dataset", "itemsets", "clustering"])
+    def test_bad_integer_names_line(self, runner, workdir, args, name, text):
+        (workdir / name).write_text(text)
+        result = runner.invoke(main, [*args, "--data", "data.txt"])
+        assert result.exit_code == 2
+        assert f"{name}:2: " in result.output
+
     def test_out_of_range_tile_is_input_error(self, runner, workdir):
         (workdir / "oob.tiles").write_text('{"rows": [1], "cols": [99], "freq": 1.0}\n')
         result = runner.invoke(

@@ -39,6 +39,14 @@ def test_dataset_column_out_of_range(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("row", ["x", "1-", "3-2"])
+def test_dataset_bad_id_names_line(tmp_path, row):
+    path = tmp_path / "d.db"
+    path.write_text(f"2 3\n1\n{row}\n")
+    with pytest.raises(InputFormatError, match=r"d\.db:3: "):
+        read_dataset(path)
+
+
 def test_dataset_rejects_lines_after_last_row(tmp_path):
     path = tmp_path / "d.db"
     path.write_text("2 3\n1\n2\n\n3\n")

@@ -134,12 +134,10 @@ class TestExactFastpath:
             fast = exact_fastpath(ts)
             slow = fit(ts, TIGHT)
             assert (fast.p == slow.p).all()
-            assert (fast.fixed == slow.fixed).all()
 
     def test_empty_set_uniform(self):
         model = exact_fastpath(TileSet((4, 3)))
         assert (model.p == 0.5).all()
-        assert not model.fixed.any()
 
     def test_random_exact_sets(self):
         from conftest import random_exact_instance
@@ -147,7 +145,9 @@ class TestExactFastpath:
         rng = np.random.default_rng(11)
         for _ in range(20):
             (ts,), _ = random_exact_instance(rng, 5, 5, [4])
-            assert (exact_fastpath(ts).p == fit(ts, TIGHT).p).all()
+            reversed_ts = TileSet(ts.dims, ts.tiles[::-1])
+            for s in (ts, reversed_ts):
+                assert (exact_fastpath(s).p == fit(s, TIGHT).p).all()
 
 
 class TestModelFrequency:
@@ -216,6 +216,8 @@ class TestFitContracts:
         )
         with pytest.raises(ConflictingExactTiles):
             fit(ts)
+        with pytest.raises(ConflictingExactTiles):
+            exact_fastpath(ts)
 
     def test_infeasible_noisy_tile(self):
         # the exact tile forces 2 of the 4 entries to 1, so the noisy
@@ -225,6 +227,20 @@ class TestFitContracts:
             (FreqTile(Tile([1], [1, 2]), 1.0), FreqTile(Tile([1, 2], [1, 2]), 0.25)),
         )
         with pytest.raises(InfeasibleTile):
+            fit(ts)
+
+    @pytest.mark.parametrize("order", ["ABC", "CBA", "BAC"])
+    def test_infeasible_noisy_tile_named_in_any_order(self, order):
+        # A and C force (1,1) and (1,2) to 1, so B cannot reach 1/2. Had
+        # B settled first after A, it would pin (1,2) to 0 and C would
+        # look like a clash between exact tiles.
+        tiles = {
+            "A": FreqTile(Tile([1], [1]), 1.0),
+            "B": FreqTile(Tile([1], [1, 2]), 0.5),
+            "C": FreqTile(Tile([1, 2], [2]), 1.0),
+        }
+        ts = TileSet((2, 2), tuple(tiles[name] for name in order))
+        with pytest.raises(InfeasibleTile, match=r"Tile\(rows=\[1\], cols=\[1, 2\]\)"):
             fit(ts)
 
     def test_inconsistent_noisy_frequencies_raise_no_convergence(self):
@@ -265,12 +281,12 @@ class TestFitContracts:
         model = fit(ts)
         for ft in ts:
             assert abs(model_frequency(ft.tile, model) - ft.alpha) <= 1e-6
-        # Only clamped or pinned entries may be exactly 0 or 1. Pinning
+        # Only settled entries may be exactly 0 or 1. The settle pass
         # settles every free entry of a tile whose target sits on its
-        # attainable boundary, so each such entry lies in an exact tile
-        # or in a tile the model makes wholly deterministic.
+        # attainable boundary, exact tiles included, so each such entry
+        # lies in a tile the model makes wholly deterministic.
         deterministic = (model.p == 0.0) | (model.p == 1.0)
-        settled = model.fixed.copy()
+        settled = np.zeros(model.dims, dtype=bool)
         for ft in ts:
             block = ft.tile.block()
             if deterministic[block].all():

@@ -8,6 +8,7 @@ from tiledive import (
     exact_fastpath,
     fit,
     fitamin,
+    margin_tiles,
     surprise_score,
 )
 from tiledive.errors import InfiniteSurprise
@@ -114,6 +115,14 @@ class TestRankingContract:
         assert r.order[0].tile == a
         flipped = make_set(toy_data, b, a)
         assert fitamin(flipped, None, "exact", TIGHT).order[0].tile == b
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_tiles_the_background_implies_stay_at_distance_one(self, toy_data, mode):
+        margins = margin_tiles(toy_data, "columns")
+        r = fitamin(margins, margins, mode, TIGHT)
+        assert sorted(map(id, r.order)) == sorted(map(id, margins.tiles))
+        assert r.trace == (1.0,) * len(margins)
+        assert r.gains == (0.0,) * len(margins)
 
     def test_modes_agree_on_first_pick_without_background(self):
         rng = np.random.default_rng(73)
