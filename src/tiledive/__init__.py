@@ -25,7 +25,6 @@ from .maxent import (
     EntryModel,
     FitOptions,
     bernoulli_update,
-    entropy,
     exact_fastpath,
     fit,
     model_frequency,
@@ -54,7 +53,6 @@ __all__ = [
     "density_tile",
     "distance",
     "empirical_frequency",
-    "entropy",
     "exact_fastpath",
     "fit",
     "fitamin",

@@ -2,7 +2,8 @@
 
 Subcommands: convert (itemsets | clustering | margins | density),
 distance, distance-matrix, redescribe, rank, model dump. Exit status is
-0 on success, 2 on input errors, 3 on numerical failures.
+0 on success, 2 on input errors, 3 on numerical failures; any other
+error is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -15,18 +16,17 @@ import click
 
 from .convert import (
     BACKGROUND_PRESETS,
-    ClusteringResult,
-    ItemsetResult,
     background_tiles,
     clustering_to_tiles,
     density_tile,
     itemsets_to_tiles,
     margin_tiles,
 )
-from .core import BinaryDataset, FreqTile, TileSet
+from .core import BinaryDataset, TileSet
 from .divergence import distance
-from .errors import InputFormatError, OutOfBounds, DimMismatch, TilediveError
-from .io import read_dataset, read_tileset, tileset_to_lines
+from .errors import InputError, InputFormatError, TilediveError
+from .io import read_clustering, read_dataset, read_itemsets, read_tileset
+from .io import tile_record, tileset_to_lines
 from .maxent import FitOptions, fit
 from .rank import fitamin
 from .redescribe import fruits
@@ -34,7 +34,7 @@ from .redescribe import fruits
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
-_INPUT_ERRORS = (InputFormatError, OutOfBounds, DimMismatch, FileNotFoundError, ValueError)
+_INPUT_ERRORS = (InputError, OSError)
 
 
 def _emit(lines: list[str], output: str | None) -> None:
@@ -54,10 +54,6 @@ def _load_background(spec: str, data: BinaryDataset) -> TileSet:
         f"background {spec!r} is neither a preset ({', '.join(BACKGROUND_PRESETS)}) "
         f"nor an existing tile file"
     )
-
-
-def _tile_json(ft: FreqTile) -> dict:
-    return {"rows": list(ft.tile.rows), "cols": list(ft.tile.cols), "freq": ft.alpha}
 
 
 class _Cli(click.Group):
@@ -95,14 +91,7 @@ def convert():
 def convert_itemsets(input_file, data, output):
     """Convert itemsets (one per line, column ids) into exact tiles."""
     ds = read_dataset(data)
-    itemsets = []
-    for lineno, line in enumerate(Path(input_file).read_text().splitlines(), start=1):
-        if line.strip():
-            try:
-                itemsets.append(tuple(int(tok) for tok in line.split()))
-            except ValueError as exc:
-                raise InputFormatError(f"{input_file}:{lineno}: {exc}") from exc
-    result = itemsets_to_tiles(ItemsetResult(tuple(itemsets)), ds)
+    result = itemsets_to_tiles(read_itemsets(input_file), ds)
     if result.skipped:
         click.echo(f"warning: skipped {result.skipped} itemset(s) with empty support", err=True)
     _emit(tileset_to_lines(result.tiles), output)
@@ -115,20 +104,7 @@ def convert_itemsets(input_file, data, output):
 @click.option("--output", type=click.Path(), default=None)
 def convert_clustering(input_file, data, mode, output):
     """Convert a clustering ("row cluster" pairs, one per line) into tiles."""
-    ds = read_dataset(data)
-    labels = {}
-    for lineno, line in enumerate(Path(input_file).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        try:
-            if len(parts) != 2:
-                raise ValueError("expected 'row cluster'")
-            labels[int(parts[0])] = int(parts[1])
-        except ValueError as exc:
-            raise InputFormatError(f"{input_file}:{lineno}: {exc}") from exc
-    k = max(labels.values(), default=0)
-    ts = clustering_to_tiles(ClusteringResult(labels, k), ds, mode)
+    ts = clustering_to_tiles(read_clustering(input_file), read_dataset(data), mode)
     _emit(tileset_to_lines(ts), output)
 
 
@@ -218,7 +194,7 @@ def redescribe_cmd(data, target, candidates, background, tolerance, output):
     b = _load_background(background, ds)
     result = fruits(t, c, b, FitOptions(tolerance=tolerance))
     lines = [
-        json.dumps({"step": i + 1, "tile": _tile_json(ft), "distance": d})
+        json.dumps({"step": i + 1, "tile": tile_record(ft), "distance": d})
         for i, (ft, d) in enumerate(zip(result.selected, result.trace))
     ]
     _emit(lines if lines else [json.dumps({"step": 0, "tile": None, "distance": result.final_distance})], output)
@@ -238,7 +214,7 @@ def rank_cmd(data, tiles, background, mode, tolerance, output):
     b = _load_background(background, ds)
     ranking = fitamin(ts, b, mode, FitOptions(tolerance=tolerance))
     lines = [
-        json.dumps({"step": i + 1, "tile": _tile_json(ft), "distance_after": d, "gain": g})
+        json.dumps({"step": i + 1, "tile": tile_record(ft), "distance_after": d, "gain": g})
         for i, (ft, d, g) in enumerate(zip(ranking.order, ranking.trace, ranking.gains))
     ]
     _emit(lines, output)

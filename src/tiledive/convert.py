@@ -9,12 +9,12 @@ and are ingested directly through the tile-set file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BinaryDataset, FreqTile, Tile, TileSet, empirical_frequency
-from .errors import OutOfBounds
+from .errors import InputError, OutOfBounds
 
 BACKGROUND_PRESETS = ("none", "density", "columns", "rows", "columns+rows")
 
@@ -32,7 +32,7 @@ class ItemsetResult:
         )
         if self.supports is not None:
             if len(self.supports) != len(self.itemsets):
-                raise ValueError("supports must align with itemsets")
+                raise InputError("supports must align with itemsets")
             object.__setattr__(
                 self,
                 "supports",
@@ -52,7 +52,7 @@ class ClusteringResult:
     def __post_init__(self):
         for row, cid in self.labels.items():
             if not 1 <= cid <= self.k:
-                raise ValueError(f"cluster id {cid} for row {row} outside [1, {self.k}]")
+                raise InputError(f"cluster id {cid} for row {row} outside [1, {self.k}]")
 
     def members(self, cid: int) -> tuple[int, ...]:
         return tuple(sorted(r for r, c in self.labels.items() if c == cid))
@@ -101,47 +101,35 @@ def clustering_to_tiles(
     column's in-cluster mean as frequency. Empty clusters are skipped.
     """
     if mode not in ("single-tile", "per-column"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     if set(r.labels) != set(range(1, data.n + 1)):
-        raise ValueError("labels must cover exactly the rows 1..n")
-    all_cols = tuple(range(1, data.m + 1))
-    tiles = []
-    for cid in range(1, r.k + 1):
-        rows = r.members(cid)
-        if not rows:
-            continue
-        if mode == "single-tile":
-            tile = Tile(rows, all_cols)
-            tiles.append(FreqTile(tile, empirical_frequency(tile, data)))
-        else:
-            for j in all_cols:
-                tile = Tile(rows, (j,))
-                tiles.append(FreqTile(tile, empirical_frequency(tile, data)))
-    return TileSet(data.dims, tuple(tiles))
+        raise InputError("labels must cover exactly the rows 1..n")
+    clusters = [r.members(cid) for cid in range(1, r.k + 1)]
+    cols = range(1, data.m + 1)
+    col_groups = [cols] if mode == "single-tile" else [(j,) for j in cols]
+    return _grid([rows for rows in clusters if rows], col_groups, data)
 
 
 def density_tile(data: BinaryDataset) -> TileSet:
     """A single tile covering the whole dataset at its global density."""
-    tile = Tile(tuple(range(1, data.n + 1)), tuple(range(1, data.m + 1)))
-    return TileSet(data.dims, (FreqTile(tile, empirical_frequency(tile, data)),))
+    return _grid([range(1, data.n + 1)], [range(1, data.m + 1)], data)
 
 
 def margin_tiles(data: BinaryDataset, axis: str = "columns") -> TileSet:
     """One tile per column (or row), spanning all rows (or columns)."""
     if axis not in ("columns", "rows"):
-        raise ValueError(f"axis must be 'columns' or 'rows', got {axis!r}")
-    all_rows = tuple(range(1, data.n + 1))
-    all_cols = tuple(range(1, data.m + 1))
-    tiles = []
+        raise InputError(f"axis must be 'columns' or 'rows', got {axis!r}")
+    rows, cols = range(1, data.n + 1), range(1, data.m + 1)
     if axis == "columns":
-        for j in all_cols:
-            tile = Tile(all_rows, (j,))
-            tiles.append(FreqTile(tile, empirical_frequency(tile, data)))
-    else:
-        for i in all_rows:
-            tile = Tile((i,), all_cols)
-            tiles.append(FreqTile(tile, empirical_frequency(tile, data)))
-    return TileSet(data.dims, tuple(tiles))
+        return _grid([rows], [(j,) for j in cols], data)
+    return _grid([(i,) for i in rows], [cols], data)
+
+
+def _grid(row_groups, col_groups, data: BinaryDataset) -> TileSet:
+    """One tile per (row group, column group) pair, row groups outermost,
+    each at its empirical frequency in `data`."""
+    tiles = [Tile(rows, cols) for rows in row_groups for cols in col_groups]
+    return TileSet(data.dims, tuple(FreqTile(t, empirical_frequency(t, data)) for t in tiles))
 
 
 def background_tiles(preset: str, data: BinaryDataset) -> TileSet:
@@ -156,4 +144,4 @@ def background_tiles(preset: str, data: BinaryDataset) -> TileSet:
         return margin_tiles(data, "rows")
     if preset == "columns+rows":
         return margin_tiles(data, "columns").union(margin_tiles(data, "rows"))
-    raise ValueError(f"unknown background preset {preset!r}; use one of {BACKGROUND_PRESETS}")
+    raise InputError(f"unknown background preset {preset!r}; use one of {BACKGROUND_PRESETS}")

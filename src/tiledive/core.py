@@ -8,18 +8,17 @@ and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConflictingExactTiles, DimMismatch, OutOfBounds
+from .errors import ConflictingExactTiles, DimMismatch, InputError, OutOfBounds
 
 
 def _as_id_tuple(ids, what: str) -> tuple[int, ...]:
     """Normalize an id collection to a sorted duplicate-free tuple of positive ids."""
     out = tuple(sorted(set(int(i) for i in ids)))
     if not out:
-        raise ValueError(f"{what} id set must be nonempty")
+        raise InputError(f"{what} id set must be nonempty")
     if out[0] < 1:
         raise OutOfBounds(f"{what} ids must be positive, got {out[0]}..{out[-1]}")
     return out
@@ -31,9 +30,9 @@ class BinaryDataset:
     def __init__(self, entries) -> None:
         arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("dataset must be a non-empty 2-d matrix")
+            raise InputError("dataset must be a non-empty 2-d matrix")
         if not np.isin(arr, (0, 1)).all():
-            raise ValueError("dataset entries must be 0 or 1")
+            raise InputError("dataset entries must be 0 or 1")
         self._entries = arr.astype(np.uint8)
         self._entries.setflags(write=False)
 
@@ -104,7 +103,7 @@ class FreqTile:
     def __post_init__(self):
         a = float(self.alpha)
         if not 0.0 <= a <= 1.0:
-            raise ValueError(f"frequency must lie in [0, 1], got {a}")
+            raise InputError(f"frequency must lie in [0, 1], got {a}")
         object.__setattr__(self, "alpha", a)
 
     @property
@@ -130,7 +129,7 @@ class TileSet:
     def __post_init__(self):
         n, m = self.dims
         if n < 1 or m < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
+            raise InputError(f"dims must be positive, got {self.dims}")
         object.__setattr__(self, "dims", (int(n), int(m)))
         object.__setattr__(self, "tiles", tuple(self.tiles))
         seen: dict[tuple, float] = {}
@@ -190,7 +189,7 @@ def empirical_frequency(tile: Tile, data: BinaryDataset) -> float:
     """Proportion of 1-entries of `data` inside the tile's area."""
     tile.check_fits(data.n, data.m)
     block = data.entries[tile.block()]
-    return float(Fraction(int(block.sum()), tile.area))
+    return int(block.sum()) / tile.area
 
 
 def annotate(ts: TileSet, data: BinaryDataset) -> TileSet:

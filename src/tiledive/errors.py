@@ -5,15 +5,19 @@ class TilediveError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InputFormatError(TilediveError):
+class InputError(TilediveError, ValueError):
+    """Malformed or out-of-range input: the CLI's exit status 2."""
+
+
+class InputFormatError(InputError):
     """A dataset or tile-set file could not be parsed."""
 
 
-class OutOfBounds(TilediveError):
+class OutOfBounds(InputError):
     """A row or column id falls outside the dataset dimensions."""
 
 
-class DimMismatch(TilediveError):
+class DimMismatch(InputError):
     """Two objects with incompatible (n, m) dimensions were combined."""
 
 

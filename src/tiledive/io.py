@@ -1,4 +1,4 @@
-"""Reading and writing dataset and tile-set files.
+"""Reading and writing the package's input files.
 
 Dataset file: first line "n m", then n lines, line i listing the
 1-based column ids where row i has a 1 (space-separated, empty line
@@ -6,6 +6,9 @@ for an all-zero row); only blank lines may follow the n rows.
 Tile-set file: one JSON object per line,
 {"rows": [...], "cols": [...], "freq": 0.5}; "freq" is optional.
 Id lists in either format may use "a-b" range shorthand.
+Itemset file: one itemset per line, as its column ids.
+Clustering file: one "row cluster" pair of ids per line.
+Tile-set, itemset and clustering files skip blank lines.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .convert import ClusteringResult, ItemsetResult
 from .core import BinaryDataset, FreqTile, Tile, TileSet, empirical_frequency
 from .errors import InputFormatError
 
@@ -84,57 +88,64 @@ def write_dataset(data: BinaryDataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_tileset(
-    path,
-    data: BinaryDataset | None = None,
-    dims: tuple[int, int] | None = None,
-) -> TileSet:
-    """Read a tile-set file.
+def _parse_lines(path, parse) -> list:
+    """`parse` applied to each non-blank line; a failure names `path:line`."""
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.strip():
+            # A malformed value can surface as a TypeError too, e.g.
+            # from "rows": 1 or "freq": null in a tile-set line.
+            try:
+                out.append(parse(line))
+            except (ValueError, TypeError) as exc:
+                raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def read_tileset(path, data: BinaryDataset) -> TileSet:
+    """Read a tile-set file on `data`'s dims.
 
     Tiles without a "freq" field get their empirical frequency from
-    `data`; a dataset is required in that case. Dims come from `data`
-    unless given explicitly.
+    `data`.
     """
-    if dims is None:
-        if data is None:
-            raise ValueError("read_tileset needs either data or dims")
-        dims = data.dims
-    tiles = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        # A malformed value can surface as any of these, e.g. TypeError
-        # from "rows": 1 or "freq": null; each names the line.
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
-                raise InputFormatError("need 'rows' and 'cols'")
-            tile = Tile(_expand_ids(obj["rows"]), _expand_ids(obj["cols"]))
-            if "freq" in obj:
-                alpha = float(obj["freq"])
-            elif data is not None:
-                alpha = empirical_frequency(tile, data)
-            else:
-                raise InputFormatError("no 'freq' given and no dataset to annotate from")
-            tiles.append(FreqTile(tile, alpha))
-        except (ValueError, TypeError, InputFormatError) as exc:
-            raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        return TileSet(dims, tuple(tiles))
-    except Exception as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+    def parse(line: str) -> FreqTile:
+        obj = json.loads(line)
+        if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
+            raise InputFormatError("need 'rows' and 'cols'")
+        tile = Tile(_expand_ids(obj["rows"]), _expand_ids(obj["cols"]))
+        tile.check_fits(data.n, data.m)
+        alpha = float(obj["freq"]) if "freq" in obj else empirical_frequency(tile, data)
+        return FreqTile(tile, alpha)
+
+    return TileSet(data.dims, tuple(_parse_lines(path, parse)))
+
+
+def read_itemsets(path) -> ItemsetResult:
+    """Read an itemset file."""
+    itemsets = _parse_lines(path, lambda line: tuple(int(tok) for tok in line.split()))
+    return ItemsetResult(tuple(itemsets))
+
+
+def read_clustering(path) -> ClusteringResult:
+    """Read a clustering file; cluster ids run from 1 to the largest given."""
+    def parse(line: str) -> tuple[int, int]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise InputFormatError("expected 'row cluster'")
+        return int(parts[0]), int(parts[1])
+
+    labels = dict(_parse_lines(path, parse))
+    return ClusteringResult(labels, max(labels.values(), default=0))
+
+
+def tile_record(ft: FreqTile) -> dict:
+    """A tile's JSON object; "freq" round-trips through repr."""
+    return {"rows": list(ft.tile.rows), "cols": list(ft.tile.cols), "freq": ft.alpha}
 
 
 def tileset_to_lines(ts: TileSet) -> list[str]:
-    """One JSON object per tile; "freq" uses repr round-tripping."""
-    lines = []
-    for ft in ts.tiles:
-        lines.append(
-            json.dumps(
-                {"rows": list(ft.tile.rows), "cols": list(ft.tile.cols), "freq": ft.alpha}
-            )
-        )
-    return lines
+    """One JSON object per tile."""
+    return [json.dumps(tile_record(ft)) for ft in ts.tiles]
 
 
 def write_tileset(ts: TileSet, path) -> None:

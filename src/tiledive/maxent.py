@@ -19,6 +19,7 @@ from .core import Tile, TileSet
 from .errors import (
     ConflictingExactTiles,
     InfeasibleTile,
+    InputError,
     NoConvergence,
     NotExact,
 )
@@ -40,8 +41,8 @@ class FitOptions:
     tolerance: float = 1e-6  # max permitted per-tile frequency residual
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0:  # also rejects NaN, which no residual exceeds
+            raise InputError("tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,16 +72,6 @@ def model_frequency(tile: Tile, model: EntryModel) -> float:
     n, m = model.dims
     tile.check_fits(n, m)
     return float(model.p[tile.block()].mean())
-
-
-def entropy(model: EntryModel) -> float:
-    """Total entropy in nats: sum of per-entry Bernoulli entropies."""
-    p = model.p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -np.where(p > 0.0, p * np.log(p), 0.0) - np.where(
-            p < 1.0, (1.0 - p) * np.log1p(-p), 0.0
-        )
-    return float(terms.sum())
 
 
 def _settle(ts: TileSet, blocks: list) -> tuple[np.ndarray, list, np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import FreqTile, TileSet
 from .divergence import _ZERO_KL, _fit_or_fast, kl
-from .errors import InfiniteSurprise
+from .errors import InfiniteSurprise, InputError
 from .maxent import EntryModel, FitOptions, model_frequency
 
 
@@ -64,7 +64,7 @@ def fitamin(
     Ties resolve to input order.
     """
     if mode not in ("exact", "heuristic"):
-        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+        raise InputError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if background is None:
         background = TileSet(tiles.dims)
 
@@ -78,9 +78,12 @@ def fitamin(
         # background): the joint of all three sets is `full`, and
         # KL(full || tiles+background) vanishes. If the tiles add nothing
         # to the background, KL(full || bg) = KL(full || prefix+bg) +
-        # KL(prefix+bg || bg) says no prefix does either.
+        # KL(prefix+bg || bg) says no prefix does either. A prefix that
+        # holds every tile makes prefix + background `full`, reordered.
         if kl_full_bg <= _ZERO_KL:
             return model_bg, 1.0
+        if len(prefix) == len(tiles):
+            return model_full, 0.0
         model_pb = _fit_or_fast(prefix.union(background), opts)
         return model_pb, kl(model_full, model_pb) / kl_full_bg
 

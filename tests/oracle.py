@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tiledive import EntryModel, TileSet, entropy
+from tiledive import EntryModel, TileSet
 from tiledive.errors import DimMismatch, InfiniteDivergence, NoConvergence, TilediveError
 
 MAX_CELLS = 16
@@ -231,6 +231,16 @@ def joint_kl(a: JointDistribution, b: JointDistribution) -> float:
         raise InfiniteDivergence("support of a is not contained in support of b")
     mask = wa > 0.0
     return float((wa[mask] * np.log(wa[mask] / wb[mask])).sum())
+
+
+def entropy(model: EntryModel) -> float:
+    """Total entropy in nats: sum of per-entry Bernoulli entropies."""
+    p = model.p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = -np.where(p > 0.0, p * np.log(p), 0.0) - np.where(
+            p < 1.0, (1.0 - p) * np.log1p(-p), 0.0
+        )
+    return float(terms.sum())
 
 
 def kl_by_entropy(model_a: EntryModel, model_b: EntryModel) -> float:

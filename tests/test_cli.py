@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import tiledive.cli
 from tiledive.cli import main
 
 DATA = "5 5\n1-2 5\n1-2\n4-5\n3-5\n3-5\n"
@@ -293,3 +294,45 @@ class TestExitCodes:
             ["model", "dump", "--data", "data.txt", "--tiles", "clash.tiles"],
         )
         assert result.exit_code == 3
+
+    def test_clashing_exact_duplicates_in_one_file_are_numerical_error(self, runner, workdir):
+        (workdir / "clash.tiles").write_text(
+            '{"rows": [1, 2], "cols": [1, 2], "freq": 1.0}\n'
+            '{"rows": [1, 2], "cols": [1, 2], "freq": 0.0}\n'
+        )
+        result = runner.invoke(
+            main,
+            ["distance", "--data", "data.txt", "--left", "clash.tiles", "--right", "u.tiles"],
+        )
+        assert result.exit_code == 3
+
+    def test_directory_as_data_is_input_error(self, runner, workdir):
+        (workdir / "dir").mkdir()
+        result = runner.invoke(
+            main,
+            ["distance", "--data", "dir", "--left", "t.tiles", "--right", "u.tiles"],
+        )
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("tolerance", ["0", "nan"])
+    def test_nonpositive_tolerance_is_input_error(self, runner, workdir, tolerance):
+        result = runner.invoke(
+            main,
+            [
+                "distance", "--data", "data.txt", "--left", "t.tiles",
+                "--right", "u.tiles", "--tolerance", tolerance,
+            ],
+        )
+        assert result.exit_code == 2
+
+    def test_internal_value_error_is_not_an_input_error(self, runner, workdir, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(tiledive.cli, "distance", broken)
+        result = runner.invoke(
+            main,
+            ["distance", "--data", "data.txt", "--left", "t.tiles", "--right", "u.tiles"],
+        )
+        assert result.exit_code not in (0, 2, 3)
+        assert isinstance(result.exception, ValueError)

@@ -151,3 +151,4 @@ def test_public_names_resolve_and_oracle_is_not_shipped():
     for name in tiledive.__all__:
         assert getattr(tiledive, name) is not None, name
     assert importlib.util.find_spec("tiledive.oracle") is None
+    assert "entropy" not in tiledive.__all__ and not hasattr(tiledive, "entropy")

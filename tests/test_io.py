@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tiledive import BinaryDataset, read_dataset, read_tileset, write_dataset, write_tileset
+from tiledive import (
+    BinaryDataset,
+    ClusteringResult,
+    FreqTile,
+    ItemsetResult,
+    Tile,
+    TileSet,
+    read_dataset,
+    read_tileset,
+    write_dataset,
+    write_tileset,
+)
 from tiledive.errors import InputFormatError
+from tiledive.io import read_clustering, read_itemsets
 
-from conftest import TOY_ROWS, make_set, random_dataset
+from conftest import TOY_ROWS, make_set
 
 
 def test_dataset_round_trip(tmp_path):
@@ -60,7 +74,7 @@ def test_tileset_round_trip(tmp_path, toy_data, toy_tiles):
     ts = make_set(toy_data, *toy_tiles.values())
     path = tmp_path / "t.tiles"
     write_tileset(ts, path)
-    back = read_tileset(path, dims=toy_data.dims)
+    back = read_tileset(path, toy_data)
     assert back == ts  # frequencies survive the trip bit-for-bit
 
 
@@ -72,35 +86,73 @@ def test_tileset_ranges_and_missing_freq(tmp_path, toy_data):
     assert ts.tiles[0].alpha == 0.5  # annotated from the dataset
 
 
-def test_tileset_missing_freq_without_data(tmp_path):
-    path = tmp_path / "t.tiles"
-    path.write_text('{"rows": [1], "cols": [1]}\n')
-    with pytest.raises(InputFormatError):
-        read_tileset(path, dims=(2, 2))
-
-
-def test_tileset_invalid_json_names_line(tmp_path):
+def test_tileset_invalid_json_names_line(tmp_path, toy_data):
     path = tmp_path / "t.tiles"
     path.write_text('{"rows": [1], "cols": [1], "freq": 1}\nnot json\n')
     with pytest.raises(InputFormatError, match=":2"):
-        read_tileset(path, dims=(2, 2))
+        read_tileset(path, toy_data)
 
 
 @pytest.mark.parametrize("line", [
     '{"rows": [1], "cols": [1], "freq": null}',
     '{"rows": 1, "cols": [1]}',
 ])
-def test_tileset_malformed_value_names_line(tmp_path, line):
+def test_tileset_malformed_value_names_line(tmp_path, toy_data, line):
     path = tmp_path / "t.tiles"
     path.write_text('{"rows": [1], "cols": [1], "freq": 1}\n' + line + "\n")
     with pytest.raises(InputFormatError, match=r"t\.tiles:2: "):
-        read_tileset(path, dims=(2, 2))
+        read_tileset(path, toy_data)
 
 
-def test_random_round_trips(tmp_path):
-    rng = np.random.default_rng(7)
-    for i in range(10):
-        data = random_dataset(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-        path = tmp_path / f"r{i}.db"
-        write_dataset(data, path)
-        assert read_dataset(path) == data
+# Round trips through each reader. Itemset and clustering files have no
+# writer in the package, so these tests write the documented line format.
+
+ids = st.lists(st.integers(1, 9), min_size=1, max_size=9)
+
+
+@st.composite
+def datasets(draw):
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * m, max_size=n * m))
+    return BinaryDataset(np.array(bits).reshape(n, m))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=datasets())
+def test_random_round_trips(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("io") / "d.db"
+    write_dataset(data, path)
+    assert read_dataset(path) == data
+
+
+@settings(max_examples=50, deadline=None)
+@given(tiles=st.lists(st.tuples(ids, ids, st.floats(0.0, 1.0)), max_size=6))
+def test_tileset_round_trip_property(tmp_path_factory, tiles):
+    data = BinaryDataset(np.zeros((9, 9)))
+    ts = TileSet(data.dims, tuple(FreqTile(Tile(r, c), a) for r, c, a in tiles))
+    path = tmp_path_factory.mktemp("io") / "t.tiles"
+    write_tileset(ts, path)
+    assert read_tileset(path, data) == ts  # frequencies survive repr bit-for-bit
+
+
+@settings(max_examples=50, deadline=None)
+@given(itemsets=st.lists(ids, max_size=6))
+def test_itemsets_round_trip_property(tmp_path_factory, itemsets):
+    path = tmp_path_factory.mktemp("io") / "sets.txt"
+    path.write_text("".join(" ".join(map(str, s)) + "\n\n" for s in itemsets))
+    assert read_itemsets(path) == ItemsetResult(tuple(map(tuple, itemsets)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(labels=st.dictionaries(st.integers(1, 30), st.integers(1, 5), max_size=30))
+def test_clustering_round_trip_property(tmp_path_factory, labels):
+    path = tmp_path_factory.mktemp("io") / "labels.txt"
+    path.write_text("".join(f"{row} {cid}\n" for row, cid in labels.items()))
+    assert read_clustering(path) == ClusteringResult(labels, max(labels.values(), default=0))
+
+
+def test_clustering_line_needs_two_ids(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("1 1\n2\n")
+    with pytest.raises(InputFormatError, match=r"labels\.txt:2: expected 'row cluster'"):
+        read_clustering(path)

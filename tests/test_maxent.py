@@ -11,7 +11,6 @@ from tiledive import (
     Tile,
     TileSet,
     bernoulli_update,
-    entropy,
     exact_fastpath,
     fit,
     margin_tiles,
@@ -21,6 +20,7 @@ from tiledive.maxent import FitOptions
 from tiledive.errors import ConflictingExactTiles, InfeasibleTile, NoConvergence
 
 from conftest import make_set, random_annotated_set, random_dataset
+from oracle import entropy
 
 TIGHT = FitOptions(tolerance=1e-12)
 

@@ -15,14 +15,13 @@ from tiledive import (
     FreqTile,
     Tile,
     TileSet,
-    entropy,
     fit,
     kl,
 )
 from tiledive.maxent import FitOptions
 
 from conftest import make_set, random_annotated_set, random_dataset
-from oracle import JointDistribution, SizeLimit, ipf_maxent, joint_kl
+from oracle import JointDistribution, SizeLimit, entropy, ipf_maxent, joint_kl
 
 TIGHT = FitOptions(tolerance=1e-12)
 

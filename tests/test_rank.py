@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tiledive.rank
 from tiledive import (
     FreqTile,
     Tile,
@@ -123,6 +124,20 @@ class TestRankingContract:
         assert sorted(map(id, r.order)) == sorted(map(id, margins.tiles))
         assert r.trace == (1.0,) * len(margins)
         assert r.gains == (0.0,) * len(margins)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_full_model_is_fitted_once(self, toy_sets, monkeypatch, mode):
+        fitted = []
+        fit_or_fast = tiledive.rank._fit_or_fast
+
+        def spy(ts, opts):
+            fitted.append(set(ts.tiles))
+            return fit_or_fast(ts, opts)
+
+        monkeypatch.setattr(tiledive.rank, "_fit_or_fast", spy)
+        r = fitamin(toy_sets["u"], toy_sets["b"], mode, TIGHT)
+        assert fitted.count(set(toy_sets["u"].union(toy_sets["b"]).tiles)) == 1
+        assert r.trace[-1] == 0.0
 
     def test_modes_agree_on_first_pick_without_background(self):
         rng = np.random.default_rng(73)
