@@ -19,7 +19,7 @@ from .convert import (
     itemsets_to_tiles,
     margin_tiles,
 )
-from .divergence import DistanceReport, distance, jaccard_distance, kl
+from .divergence import DistanceReport, distance, distance_matrix, jaccard_distance, kl
 from .io import read_dataset, read_tileset, write_dataset, write_tileset
 from .maxent import (
     EntryModel,
@@ -52,6 +52,7 @@ __all__ = [
     "clustering_to_tiles",
     "density_tile",
     "distance",
+    "distance_matrix",
     "empirical_frequency",
     "exact_fastpath",
     "fit",

@@ -23,7 +23,7 @@ from .convert import (
     margin_tiles,
 )
 from .core import BinaryDataset, TileSet
-from .divergence import distance
+from .divergence import distance, distance_matrix
 from .errors import InputError, InputFormatError, TilediveError
 from .io import read_clustering, read_dataset, read_itemsets, read_tileset
 from .io import tile_record, tileset_to_lines
@@ -161,18 +161,13 @@ def distance_cmd(data, left, right, background, tolerance, fmt, output):
 @click.option("--background", default="none", show_default=True)
 @fit_options
 @click.option("--output", type=click.Path(), default=None)
-def distance_matrix(tile_files, data, background, tolerance, output):
+def distance_matrix_cmd(tile_files, data, background, tolerance, output):
     """Pairwise distance matrix over tile-set files, as TSV."""
     ds = read_dataset(data)
     sets = [read_tileset(f, data=ds) for f in tile_files]
     b = _load_background(background, ds)
-    opts = FitOptions(tolerance=tolerance)
+    values = distance_matrix(sets, b, FitOptions(tolerance=tolerance))
     names = [Path(f).name for f in tile_files]
-    values = [[0.0] * len(sets) for _ in sets]
-    for i in range(len(sets)):
-        for j in range(i, len(sets)):
-            d = distance(sets[i], sets[j], b, opts).value
-            values[i][j] = values[j][i] = d
     lines = ["\t".join([""] + names)]
     for name, row in zip(names, values):
         lines.append("\t".join([name] + [f"{v:.17g}" for v in row]))

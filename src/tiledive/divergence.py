@@ -5,10 +5,16 @@ The distance between two tile sets, given background knowledge, is
 for the union of all three sets. When every tile involved is exact the
 same value equals the Jaccard dissimilarity of the covered areas minus
 the background area, which is used as a fast path.
+
+`distance` fits four models and `_combine` turns them into the report.
+`distance_matrix` and `redescribe.fruits` fit the models that pairs
+share once. A shared model is a fit of the same `TileSet`, built by the
+same `union` call, so values are bit-identical to per-pair `distance`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,32 +95,24 @@ def _fit_or_fast(ts: TileSet, opts: FitOptions) -> EntryModel:
     return fit(ts, opts)
 
 
-def distance(
-    t: TileSet,
-    u: TileSet,
-    b: TileSet | None = None,
-    opts: FitOptions = FitOptions(),
-) -> DistanceReport:
-    """Normalized distance between tile sets t and u given background b.
-
-    Fits models for t+u+b, t+b, u+b, and b, and returns the KL ratio.
-    Falls back to the Jaccard form when every tile is exact (identical
-    value, no iteration).
-    """
-    if b is None:
-        b = TileSet(t.dims)
-    if not (t.dims == u.dims == b.dims):
-        raise DimMismatch(f"dims differ: {t.dims}, {u.dims}, {b.dims}")
-
-    joint = t.union(u, b)
+def _fit_joint(ts: TileSet, opts: FitOptions) -> EntryModel:
+    """Fit a joint model; there, non-convergence means inconsistent sets."""
     try:
-        model_m = _fit_or_fast(joint, opts)
+        return _fit_or_fast(ts, opts)
     except NoConvergence as exc:
         raise ConsistencyError(f"joint model did not converge: {exc}") from exc
-    model_tb = _fit_or_fast(t.union(b), opts)
-    model_ub = _fit_or_fast(u.union(b), opts)
-    model_b = _fit_or_fast(b, opts)
 
+
+def _combine(
+    t: TileSet,
+    u: TileSet,
+    b: TileSet,
+    model_m: EntryModel,
+    model_tb: EntryModel,
+    model_ub: EntryModel,
+    model_b: EntryModel,
+) -> DistanceReport:
+    """The distance report from the models of t+u+b, t+b, u+b and b."""
     kl_m_t = kl(model_m, model_tb)
     kl_m_u = kl(model_m, model_ub)
     kl_m_b = kl(model_m, model_b)
@@ -129,3 +127,58 @@ def distance(
     else:
         value = (kl_m_u + kl_m_t) / kl_m_b
     return DistanceReport(value, kl_m_t, kl_m_u, kl_m_b, used_jaccard_path=False)
+
+
+def distance(
+    t: TileSet,
+    u: TileSet,
+    b: TileSet | None = None,
+    opts: FitOptions = FitOptions(),
+) -> DistanceReport:
+    """Normalized distance between tile sets t and u given background b.
+
+    Fits models for t+u+b, t+b, u+b, and b, and returns the KL ratio.
+    Falls back to the Jaccard form when every tile is exact (identical
+    value, no iteration). Every call fits all four models; to compare
+    many pairs, use `distance_matrix`, which shares them.
+    """
+    if b is None:
+        b = TileSet(t.dims)
+    if not (t.dims == u.dims == b.dims):
+        raise DimMismatch(f"dims differ: {t.dims}, {u.dims}, {b.dims}")
+
+    model_m = _fit_joint(t.union(u, b), opts)
+    model_tb = _fit_or_fast(t.union(b), opts)
+    model_ub = _fit_or_fast(u.union(b), opts)
+    model_b = _fit_or_fast(b, opts)
+    return _combine(t, u, b, model_m, model_tb, model_ub, model_b)
+
+
+def distance_matrix(
+    sets: Sequence[TileSet],
+    b: TileSet | None = None,
+    opts: FitOptions = FitOptions(),
+) -> list[list[float]]:
+    """Symmetric matrix of `distance(sets[i], sets[j], b, opts).value`.
+
+    Fits each set+b once, b once, and one joint model per pair i < j:
+    N + 1 + N(N-1)/2 fits where per-pair calls make 4 N(N+1)/2. A
+    diagonal entry's joint is set+b itself. The values are bit-identical
+    to those of per-pair `distance` calls.
+    """
+    if not sets:
+        return []
+    if b is None:
+        b = TileSet(sets[0].dims)
+    # Each set+b is the joint of its diagonal entry, so it is fitted as
+    # one; `union` raises DimMismatch for a set on other dims.
+    models = [_fit_joint(s.union(b), opts) for s in sets]
+    model_b = _fit_or_fast(b, opts)
+    values = [[0.0] * len(sets) for _ in sets]
+    for i, t in enumerate(sets):
+        for j in range(i, len(sets)):
+            u = sets[j]
+            model_m = models[i] if i == j else _fit_joint(t.union(u, b), opts)
+            d = _combine(t, u, b, model_m, models[i], models[j], model_b).value
+            values[i][j] = values[j][i] = d
+    return values

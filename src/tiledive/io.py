@@ -7,7 +7,8 @@ Tile-set file: one JSON object per line,
 {"rows": [...], "cols": [...], "freq": 0.5}; "freq" is optional.
 Id lists in either format may use "a-b" range shorthand.
 Itemset file: one itemset per line, as its column ids.
-Clustering file: one "row cluster" pair of ids per line.
+Clustering file: one "row cluster" pair of ids per line, each row at
+most once.
 Tile-set, itemset and clustering files skip blank lines.
 """
 
@@ -127,14 +128,22 @@ def read_itemsets(path) -> ItemsetResult:
 
 
 def read_clustering(path) -> ClusteringResult:
-    """Read a clustering file; cluster ids run from 1 to the largest given."""
-    def parse(line: str) -> tuple[int, int]:
+    """Read a clustering file; cluster ids run from 1 to the largest given.
+
+    A row listed on two lines is malformed, even with the same label.
+    """
+    labels: dict[int, int] = {}
+
+    def parse(line: str) -> None:
         parts = line.split()
         if len(parts) != 2:
             raise InputFormatError("expected 'row cluster'")
-        return int(parts[0]), int(parts[1])
+        row, cluster = int(parts[0]), int(parts[1])
+        if row in labels:
+            raise InputFormatError(f"row {row} is listed twice")
+        labels[row] = cluster
 
-    labels = dict(_parse_lines(path, parse))
+    _parse_lines(path, parse)
     return ClusteringResult(labels, max(labels.values(), default=0))
 
 

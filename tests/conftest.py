@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tiledive.divergence
 from tiledive import BinaryDataset, FreqTile, Tile, TileSet, annotate, fit, kl
 from tiledive.divergence import _ZERO_KL
 
@@ -78,6 +79,18 @@ def kl_ratio(t: TileSet, u: TileSet, b: TileSet, opts) -> float:
     if kl_m_b <= _ZERO_KL:
         return 1.0
     return (kl(model_m, fit(u.union(b), opts)) + kl(model_m, fit(t.union(b), opts))) / kl_m_b
+
+
+def record_fits(monkeypatch) -> list:
+    """List that collects the tile set of every model `divergence` fits."""
+    fits = []
+    for name in ("fit", "exact_fastpath"):
+        real = getattr(tiledive.divergence, name)
+        monkeypatch.setattr(
+            tiledive.divergence, name,
+            lambda ts, *args, _real=real: fits.append(ts) or _real(ts, *args),
+        )
+    return fits
 
 
 # Populated by the acceptance suite; printed after the run so each

@@ -4,7 +4,11 @@ import pytest
 from click.testing import CliRunner
 
 import tiledive.cli
+from tiledive import background_tiles, distance
 from tiledive.cli import main
+from tiledive.io import read_dataset, read_tileset
+
+from conftest import record_fits
 
 DATA = "5 5\n1-2 5\n1-2\n4-5\n3-5\n3-5\n"
 
@@ -112,6 +116,23 @@ class TestDistanceMatrix:
             for j in range(3):
                 assert grid[i][j] == pytest.approx(grid[j][i], abs=1e-9)
         assert grid[0][1] == pytest.approx(5 / 9, abs=1e-6)
+
+    def test_equals_per_pair_distance_with_shared_fits(self, runner, workdir, monkeypatch):
+        names = ["t.tiles", "u.tiles", "b.tiles"]
+        data = read_dataset("data.txt")
+        sets = [read_tileset(name, data) for name in names]
+        bg = background_tiles("density", data)
+        expected = [[distance(s, u, bg).value.hex() for u in sets] for s in sets]
+
+        fits = record_fits(monkeypatch)
+        result = runner.invoke(
+            main, ["distance-matrix", *names, "--data", "data.txt", "--background", "density"]
+        )
+        assert result.exit_code == 0
+        rows = result.output.rstrip("\n").splitlines()[1:]
+        assert [[float(v).hex() for v in row.split("\t")[1:]] for row in rows] == expected
+        # each set+bg and bg once, one joint per pair off the diagonal
+        assert len(fits) == 3 + 1 + 3
 
 
 class TestConvert:
@@ -256,6 +277,12 @@ class TestExitCodes:
         result = runner.invoke(main, [*args, "--data", "data.txt"])
         assert result.exit_code == 2
         assert f"{name}:2: " in result.output
+
+    def test_clustering_row_listed_twice_is_input_error(self, runner, workdir):
+        (workdir / "labels.txt").write_text("1 1\n2 1\n3 2\n1 2\n")
+        result = runner.invoke(main, ["convert", "clustering", "labels.txt", "--data", "data.txt"])
+        assert result.exit_code == 2
+        assert "labels.txt:4: " in result.output
 
     def test_out_of_range_tile_is_input_error(self, runner, workdir):
         (workdir / "oob.tiles").write_text('{"rows": [1], "cols": [99], "freq": 1.0}\n')

@@ -11,6 +11,7 @@ from tiledive import (
     annotate,
     background_tiles,
     distance,
+    distance_matrix,
     exact_fastpath,
     fit,
     jaccard_distance,
@@ -59,6 +60,16 @@ class TestKl:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             kl(exact_fastpath(TileSet((2, 2))), exact_fastpath(TileSet((2, 3))))
+
+
+class TestDistanceMatrix:
+    def test_equals_per_pair_distance_without_background(self, toy_sets):
+        sets = [toy_sets[k] for k in ("t", "u", "b")]
+        assert distance_matrix(sets) == [[distance(s, u).value for u in sets] for s in sets]
+
+    def test_rejects_a_set_on_other_dims(self, toy_sets):
+        with pytest.raises(DimMismatch):
+            distance_matrix([toy_sets["t"], TileSet((2, 2))])
 
 
 def _planted_result_sets(seed, n, biclusters):

@@ -156,3 +156,10 @@ def test_clustering_line_needs_two_ids(tmp_path):
     path.write_text("1 1\n2\n")
     with pytest.raises(InputFormatError, match=r"labels\.txt:2: expected 'row cluster'"):
         read_clustering(path)
+
+
+def test_clustering_row_listed_twice_names_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("1 1\n2 1\n3 2\n\n1 2\n")
+    with pytest.raises(InputFormatError, match=r"labels\.txt:5: row 1 is listed twice"):
+        read_clustering(path)

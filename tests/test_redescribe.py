@@ -3,10 +3,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tiledive import TileSet, distance, fruits
+from tiledive import TileSet, background_tiles, distance, fruits
+from tiledive.errors import DimMismatch
 from tiledive.maxent import FitOptions
 
-from conftest import make_set, random_exact_instance
+from conftest import (
+    make_set,
+    random_annotated_set,
+    random_dataset,
+    random_exact_instance,
+    record_fits,
+)
 
 TIGHT = FitOptions(tolerance=1e-12)
 
@@ -91,3 +98,58 @@ class TestGreedyContract:
         r = fruits(toy_sets["t"], doubled, toy_sets["empty"], TIGHT)
         picked = [ft.tile for ft in r.selected]
         assert picked.count(toy_tiles[2]) == 1
+
+    def test_candidates_on_other_dims_are_rejected(self, toy_sets):
+        other = TileSet((3, 3))
+        with pytest.raises(DimMismatch):
+            fruits(toy_sets["t"], other, toy_sets["empty"])
+
+
+def reference_greedy(target, candidates, background, opts):
+    """`fruits`'s selection rule on public `distance` calls, 4 fits each.
+
+    Returns the selection, the trace and the number of candidate
+    evaluations.
+    """
+    chosen = TileSet(target.dims)
+    remaining = list(candidates.tiles)
+    best = distance(chosen, target, background, opts).value
+    selected, trace, evaluations = [], [], 0
+    while remaining:
+        round_best, round_pick = best, None
+        for i, cand in enumerate(remaining):
+            d = distance(chosen.with_tile(cand), target, background, opts).value
+            evaluations += 1
+            if d < round_best - 1e-12:
+                round_best, round_pick = d, i
+        if round_pick is None:
+            break
+        cand = remaining.pop(round_pick)
+        chosen = chosen.with_tile(cand)
+        selected.append(cand)
+        best = round_best
+        trace.append(best)
+    return tuple(selected), tuple(trace), evaluations
+
+
+class TestSharedFits:
+    # A background that repeats a tile differs from its `union` with the
+    # empty selection, so that one chosen+bg model is fitted apart.
+    @pytest.mark.parametrize("preset, repeats", [("density", 0), ("columns", 0), ("columns", 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noisy_matches_reference_loop(self, monkeypatch, preset, repeats, seed):
+        rng = np.random.default_rng(700 + seed)
+        data = random_dataset(rng, 8, 8, density=0.4)
+        target = random_annotated_set(rng, data, 3)
+        candidates = random_annotated_set(rng, data, 3).union(target)
+        background = background_tiles(preset, data)
+        background = TileSet(data.dims, background.tiles + background.tiles[:repeats])
+        selected, trace, evaluations = reference_greedy(target, candidates, background, FitOptions())
+
+        fits = record_fits(monkeypatch)
+        r = fruits(target, candidates, background, FitOptions())
+
+        assert r.selected == selected
+        assert [d.hex() for d in r.trace] == [d.hex() for d in trace]
+        # target+bg and bg once, then the joint and chosen+cand+bg per candidate
+        assert len(fits) == 2 + (repeats > 0) + 2 * evaluations
