@@ -75,7 +75,7 @@ def main():
 
 fit_options = click.option(
     "--tolerance", type=float, default=1e-6, show_default=True,
-    help="Max per-tile frequency residual.",
+    help="Max per-tile frequency residual, in (0, 1).",
 )
 
 

@@ -116,11 +116,11 @@ class FreqTile:
 
 @dataclass(frozen=True)
 class TileSet:
-    """An ordered collection of frequency-annotated tiles on common dims.
+    """A set of frequency-annotated tiles on common dims, in insertion order.
 
-    Order is preserved: greedy selection depends on it.
-    Duplicate and overlapping tiles are allowed; exact duplicates with
-    conflicting frequencies are rejected up front.
+    Order matters to greedy selection. An identical repeat of a tile and
+    frequency is kept once: a max-entropy model depends only on its set
+    of constraints. One tile at both exact frequencies is rejected.
     """
 
     dims: tuple[int, int]
@@ -131,20 +131,12 @@ class TileSet:
         if n < 1 or m < 1:
             raise InputError(f"dims must be positive, got {self.dims}")
         object.__setattr__(self, "dims", (int(n), int(m)))
-        object.__setattr__(self, "tiles", tuple(self.tiles))
-        seen: dict[tuple, float] = {}
+        object.__setattr__(self, "tiles", tuple(dict.fromkeys(self.tiles)))
+        exact: dict[Tile, float] = {}
         for ft in self.tiles:
             ft.tile.check_fits(n, m)
-            key = (ft.tile.rows, ft.tile.cols)
-            prev = seen.get(key)
-            if prev is not None and prev != ft.alpha and (
-                prev in (0.0, 1.0) and ft.alpha in (0.0, 1.0)
-            ):
-                raise ConflictingExactTiles(
-                    f"duplicate tile {ft.tile} with conflicting exact "
-                    f"frequencies {prev} and {ft.alpha}"
-                )
-            seen.setdefault(key, ft.alpha)
+            if ft.exact and exact.setdefault(ft.tile, ft.alpha) != ft.alpha:
+                raise ConflictingExactTiles(f"tile {ft.tile} is given both exact frequencies")
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -159,19 +151,11 @@ class TileSet:
         return TileSet(self.dims, self.tiles + (ft,))
 
     def union(self, *others: "TileSet") -> "TileSet":
-        """Order-preserving union; drops repeats of an identical (tile, alpha)."""
+        """Order-preserving union: every tile of `self`, then of each other."""
         for o in others:
             if o.dims != self.dims:
                 raise DimMismatch(f"cannot union {self.dims} with {o.dims}")
-        seen = set()
-        merged = []
-        for ts in (self, *others):
-            for ft in ts.tiles:
-                key = (ft.tile.rows, ft.tile.cols, ft.alpha)
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(ft)
-        return TileSet(self.dims, tuple(merged))
+        return TileSet(self.dims, self.tiles + tuple(ft for o in others for ft in o.tiles))
 
     def area_mask(self) -> np.ndarray:
         """Boolean n x m mask of all covered entries."""

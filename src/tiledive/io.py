@@ -4,7 +4,8 @@ Dataset file: first line "n m", then n lines, line i listing the
 1-based column ids where row i has a 1 (space-separated, empty line
 for an all-zero row); only blank lines may follow the n rows.
 Tile-set file: one JSON object per line,
-{"rows": [...], "cols": [...], "freq": 0.5}; "freq" is optional.
+{"rows": [...], "cols": [...], "freq": 0.5}; "freq" is an optional JSON
+number, and "rows" and "cols" are JSON arrays of integer ids.
 Id lists in either format may use "a-b" range shorthand.
 Itemset file: one itemset per line, as its column ids.
 Clustering file: one "row cluster" pair of ids per line, each row at
@@ -103,20 +104,31 @@ def _parse_lines(path, parse) -> list:
     return out
 
 
+def _json_ids(obj: dict, key: str) -> list[int]:
+    """The ids of a tile-set line's "rows" or "cols" array."""
+    ids = obj[key]
+    if not isinstance(ids, list) or any(isinstance(i, bool) or not isinstance(i, (int, str)) for i in ids):
+        raise InputFormatError(f"{key!r} must be an array of integer ids and \"a-b\" ranges")
+    return _expand_ids(ids)
+
+
 def read_tileset(path, data: BinaryDataset) -> TileSet:
     """Read a tile-set file on `data`'s dims.
 
     Tiles without a "freq" field get their empirical frequency from
-    `data`.
+    `data`. A tile repeated at the same frequency is read once.
     """
     def parse(line: str) -> FreqTile:
         obj = json.loads(line)
         if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
             raise InputFormatError("need 'rows' and 'cols'")
-        tile = Tile(_expand_ids(obj["rows"]), _expand_ids(obj["cols"]))
+        tile = Tile(_json_ids(obj, "rows"), _json_ids(obj, "cols"))
         tile.check_fits(data.n, data.m)
-        alpha = float(obj["freq"]) if "freq" in obj else empirical_frequency(tile, data)
-        return FreqTile(tile, alpha)
+        if "freq" not in obj:
+            return FreqTile(tile, empirical_frequency(tile, data))
+        if isinstance(obj["freq"], bool) or not isinstance(obj["freq"], (int, float)):
+            raise InputFormatError("'freq' must be a number")
+        return FreqTile(tile, obj["freq"])
 
     return TileSet(data.dims, tuple(_parse_lines(path, parse)))
 

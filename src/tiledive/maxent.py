@@ -41,8 +41,10 @@ class FitOptions:
     tolerance: float = 1e-6  # max permitted per-tile frequency residual
 
     def __post_init__(self):
-        if not self.tolerance > 0:  # also rejects NaN, which no residual exceeds
-            raise InputError("tolerance must be positive")
+        # A frequency residual is below 1, so a tolerance of 1 or more
+        # (or inf) would accept the unfitted start; NaN fails both tests.
+        if not 0 < self.tolerance < 1:
+            raise InputError(f"tolerance must lie in (0, 1), got {self.tolerance}")
 
 
 @dataclass(frozen=True, eq=False)

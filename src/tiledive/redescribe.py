@@ -3,8 +3,9 @@
 Repeatedly add the candidate that most reduces the distance to the
 target tile set, stopping once no candidate gives a strict improvement.
 Finding the optimal subset is intractable, so greedy is the intended
-trade-off. The target+bg and bg models are the same for every
-candidate, so they are fitted once per call.
+trade-off. The search starts from the empty selection, which is at
+distance 1 from any target. The target+bg and bg models are the same
+for every candidate, so they are fitted once per call.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def fruits(
 
     Each distance is `distance(chosen + cand, target, background, opts)`
     bit for bit, but only the joint and chosen+cand+bg models are fitted
-    per candidate: target+bg and bg are fitted once, and the empty
-    selection's joint is target+bg itself.
+    per candidate: target+bg and bg are fitted once. The empty selection
+    is at distance 1 by definition, so it needs no fit.
     """
     if background is None:
         background = TileSet(target.dims)
@@ -57,15 +58,10 @@ def fruits(
     model_ub = _fit_joint(target.union(background), opts)
     model_b = _fit_or_fast(background, opts)
 
-    def score(t: TileSet, model_m, model_tb) -> float:
-        return _combine(t, target, background, model_m, model_tb, model_ub, model_b).value
-
     chosen = TileSet(target.dims)
-    # `union` drops repeated tiles, so the empty selection's chosen+bg set
-    # is the background itself unless the background repeats a tile.
-    empty_b = chosen.union(background)
-    model_eb = model_b if empty_b.tiles == background.tiles else _fit_or_fast(empty_b, opts)
-    best = score(chosen, model_ub, model_eb)
+    # d(empty, target; bg) = (0 + KL(M || bg)) / KL(M || bg) = 1 with
+    # M = target+bg, and the Jaccard value of an empty area is 1 too.
+    best = 1.0
     remaining = list(candidates.tiles)
     selected: list[FreqTile] = []
     trace: list[float] = []
@@ -76,7 +72,8 @@ def fruits(
         for i, cand in enumerate(remaining):
             t = chosen.with_tile(cand)
             model_m = _fit_joint(t.union(target, background), opts)
-            d = score(t, model_m, _fit_or_fast(t.union(background), opts))
+            model_tb = _fit_or_fast(t.union(background), opts)
+            d = _combine(t, target, background, model_m, model_tb, model_ub, model_b).value
             if d < round_best - _MIN_GAIN:
                 round_best = d
                 round_pick = i

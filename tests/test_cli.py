@@ -341,7 +341,7 @@ class TestExitCodes:
         )
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("tolerance", ["0", "nan"])
+    @pytest.mark.parametrize("tolerance", ["0", "nan", "inf", "1"])
     def test_nonpositive_tolerance_is_input_error(self, runner, workdir, tolerance):
         result = runner.invoke(
             main,
@@ -351,6 +351,21 @@ class TestExitCodes:
             ],
         )
         assert result.exit_code == 2
+
+    def test_ill_typed_tile_value_is_input_error(self, runner, workdir):
+        (workdir / "bad.tiles").write_text('{"rows": "12", "cols": [1]}\n')
+        result = runner.invoke(main, ["model", "dump", "--data", "data.txt", "--tiles", "bad.tiles"])
+        assert result.exit_code == 2
+        assert "bad.tiles:1:" in result.output
+
+    def test_inconsistent_sets_are_numerical_error(self, runner, workdir):
+        (workdir / "low.tiles").write_text('{"rows": [1, 2], "cols": [1, 2], "freq": 0.25}\n')
+        (workdir / "high.tiles").write_text('{"rows": [1, 2], "cols": [1, 2], "freq": 0.75}\n')
+        result = runner.invoke(
+            main,
+            ["distance", "--data", "data.txt", "--left", "low.tiles", "--right", "high.tiles"],
+        )
+        assert result.exit_code == 3
 
     def test_internal_value_error_is_not_an_input_error(self, runner, workdir, monkeypatch):
         def broken(*args):

@@ -39,6 +39,10 @@ class TestItemsets:
         assert result.skipped == 1
         assert len(result.tiles) == 1
 
+    def test_repeated_itemset_gives_one_tile(self, toy_data):
+        result = itemsets_to_tiles(ItemsetResult(((1, 2), (4, 5), (1, 2))), toy_data)
+        assert [ft.tile.cols for ft in result.tiles] == [(1, 2), (4, 5)]
+
     def test_column_out_of_range(self, toy_data):
         with pytest.raises(OutOfBounds):
             itemsets_to_tiles(ItemsetResult(((5, 6),)), toy_data)

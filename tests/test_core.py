@@ -48,11 +48,15 @@ class TestTileValidation:
         t = Tile([1], [1])
         with pytest.raises(ConflictingExactTiles):
             TileSet((2, 2), (FreqTile(t, 1.0), FreqTile(t, 0.0)))
+        with pytest.raises(ConflictingExactTiles):  # behind a noisy duplicate
+            TileSet((2, 2), (FreqTile(t, 0.5), FreqTile(t, 1.0), FreqTile(t, 0.0)))
 
     def test_tileset_allows_noisy_duplicates(self):
+        # an identical repeat is kept once; the same tile at another
+        # frequency is a different constraint and stays
         t = Tile([1, 2], [1, 2])
         ts = TileSet((2, 2), (FreqTile(t, 0.5), FreqTile(t, 0.5), FreqTile(t, 1.0)))
-        assert len(ts) == 3
+        assert ts.tiles == (FreqTile(t, 0.5), FreqTile(t, 1.0))
 
 
 class TestEmpiricalFrequency:
@@ -145,6 +149,40 @@ class TestUnion:
         b = make_set(toy_data, toy_tiles[4], toy_tiles[3])
         merged = a.union(b)
         assert [ft.tile for ft in merged] == [toy_tiles[2], toy_tiles[4], toy_tiles[3]]
+
+
+tile_lists = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.sampled_from([0.0, 0.25, 1.0])),
+    max_size=6,
+).map(lambda specs: tuple(FreqTile(Tile(range(1, r + 1), [c]), a) for r, c, a in specs))
+
+
+class TestSetSemantics:
+    """Every layer sees one rule: an identical repeat is kept once."""
+
+    def test_repeat_kept_once_in_first_position(self):
+        a, b = FreqTile(Tile([1], [1]), 0.5), FreqTile(Tile([2], [2]), 1.0)
+        assert TileSet((3, 3), (a, b, a, b, a)).tiles == (a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=tile_lists, y=tile_lists)
+    def test_union_is_construction_from_concatenation(self, x, y):
+        def build(tiles):
+            try:
+                return TileSet((3, 3), tiles)
+            except ConflictingExactTiles:
+                return None
+
+        xs, ys, joint = build(x), build(y), build(x + y)
+        if xs is None or ys is None:
+            return
+        if joint is None:
+            with pytest.raises(ConflictingExactTiles):
+                xs.union(ys)
+            return
+        assert xs.union(ys) == joint
+        for ft in xs:
+            assert xs.with_tile(ft) == xs
 
 
 def test_public_names_resolve_and_oracle_is_not_shipped():

@@ -14,10 +14,11 @@ from tiledive import (
     distance_matrix,
     exact_fastpath,
     fit,
+    fruits,
     jaccard_distance,
     kl,
 )
-from tiledive.errors import DimMismatch, InfiniteDivergence, NotExact
+from tiledive.errors import ConsistencyError, DimMismatch, InfiniteDivergence, NotExact
 from tiledive.maxent import FitOptions
 
 from conftest import (
@@ -70,6 +71,29 @@ class TestDistanceMatrix:
     def test_rejects_a_set_on_other_dims(self, toy_sets):
         with pytest.raises(DimMismatch):
             distance_matrix([toy_sets["t"], TileSet((2, 2))])
+
+
+class TestInconsistentSets:
+    # One 2x2 rectangle of a 3x3 grid at frequency 1/4 in one set and 3/4
+    # in the other: each set fits alone, their joint model cannot.
+    RECT = Tile([1, 2], [1, 2])
+    LOW = TileSet((3, 3), (FreqTile(RECT, 0.25),))
+    HIGH = TileSet((3, 3), (FreqTile(RECT, 0.75),))
+
+    def test_each_set_fits_alone(self):
+        assert fit(self.LOW).residual <= 1e-6 and fit(self.HIGH).residual <= 1e-6
+
+    def test_distance(self):
+        with pytest.raises(ConsistencyError):
+            distance(self.LOW, self.HIGH)
+
+    def test_distance_matrix(self):
+        with pytest.raises(ConsistencyError):
+            distance_matrix([self.LOW, self.HIGH])
+
+    def test_fruits_against_the_other_as_background(self):
+        with pytest.raises(ConsistencyError):
+            fruits(self.LOW, TileSet((3, 3)), self.HIGH)
 
 
 def _planted_result_sets(seed, n, biclusters):

@@ -96,12 +96,30 @@ def test_tileset_invalid_json_names_line(tmp_path, toy_data):
 @pytest.mark.parametrize("line", [
     '{"rows": [1], "cols": [1], "freq": null}',
     '{"rows": 1, "cols": [1]}',
+    '{"rows": "12", "cols": [1]}',
+    '{"rows": [true], "cols": [1]}',
+    '{"rows": [1], "cols": [false, 2]}',
+    '{"rows": [[1]], "cols": [1]}',
+    '{"rows": {"1": 1}, "cols": [1]}',
+    '{"rows": [1], "cols": [1], "freq": true}',
+    '{"rows": [1], "cols": [1], "freq": "0.5"}',
 ])
 def test_tileset_malformed_value_names_line(tmp_path, toy_data, line):
     path = tmp_path / "t.tiles"
     path.write_text('{"rows": [1], "cols": [1], "freq": 1}\n' + line + "\n")
     with pytest.raises(InputFormatError, match=r"t\.tiles:2: "):
         read_tileset(path, toy_data)
+
+
+def test_tileset_repeated_tile_is_read_once(tmp_path, toy_data):
+    path = tmp_path / "t.tiles"
+    path.write_text(
+        '{"rows": [1, 2], "cols": [1], "freq": 0.5}\n'
+        '{"rows": ["1-2"], "cols": [1], "freq": 0.5}\n'
+        '{"rows": [1, 2], "cols": [1], "freq": 1}\n'
+    )
+    ts = read_tileset(path, toy_data)
+    assert [ft.alpha for ft in ts] == [0.5, 1.0]
 
 
 # Round trips through each reader. Itemset and clustering files have no

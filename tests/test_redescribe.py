@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import tiledive.divergence
 from tiledive import TileSet, background_tiles, distance, fruits
 from tiledive.errors import DimMismatch
 from tiledive.maxent import FitOptions
@@ -133,8 +134,8 @@ def reference_greedy(target, candidates, background, opts):
 
 
 class TestSharedFits:
-    # A background that repeats a tile differs from its `union` with the
-    # empty selection, so that one chosen+bg model is fitted apart.
+    # A background given with a repeated tile is the same set, so it
+    # costs no extra fit.
     @pytest.mark.parametrize("preset, repeats", [("density", 0), ("columns", 0), ("columns", 2)])
     @pytest.mark.parametrize("seed", range(3))
     def test_noisy_matches_reference_loop(self, monkeypatch, preset, repeats, seed):
@@ -152,4 +153,17 @@ class TestSharedFits:
         assert r.selected == selected
         assert [d.hex() for d in r.trace] == [d.hex() for d in trace]
         # target+bg and bg once, then the joint and chosen+cand+bg per candidate
-        assert len(fits) == 2 + (repeats > 0) + 2 * evaluations
+        assert len(fits) == 2 + 2 * evaluations
+
+    @pytest.mark.parametrize("preset", ["density", "columns"])
+    def test_empty_selection_is_at_one_without_fit_or_kl(self, monkeypatch, preset):
+        rng = np.random.default_rng(710)
+        data = random_dataset(rng, 8, 8, density=0.4)
+        target = random_annotated_set(rng, data, 3)
+        kls = []
+        real_kl = tiledive.divergence.kl
+        monkeypatch.setattr(tiledive.divergence, "kl", lambda a, b: kls.append(1) or real_kl(a, b))
+        fits = record_fits(monkeypatch)
+        r = fruits(target, TileSet(data.dims), background_tiles(preset, data))
+        assert r.final_distance == 1.0 and r.trace == ()
+        assert len(fits) == 2 and kls == []
