@@ -31,7 +31,7 @@ class BinaryDataset:
         arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InputError("dataset must be a non-empty 2-d matrix")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise InputError("dataset entries must be 0 or 1")
         self._entries = arr.astype(np.uint8)
         self._entries.setflags(write=False)
@@ -81,8 +81,10 @@ class Tile:
         return len(self.rows) * len(self.cols)
 
     def check_fits(self, n: int, m: int) -> None:
-        if self.rows[-1] > n or self.cols[-1] > m:
-            raise OutOfBounds(f"tile {self} does not fit in {n}x{m}")
+        if self.rows[-1] > n:
+            raise OutOfBounds(f"row id {self.rows[-1]} does not fit in {n}x{m}")
+        if self.cols[-1] > m:
+            raise OutOfBounds(f"column id {self.cols[-1]} does not fit in {n}x{m}")
 
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based `np.ix_` index pair that selects the tile's area of an n x m array."""

@@ -25,8 +25,12 @@ from .core import BinaryDataset, FreqTile, Tile, TileSet, empirical_frequency
 from .errors import InputFormatError
 
 
-def _expand_ids(tokens) -> list[int]:
-    """Expand a list of ids and "a-b" ranges into plain ids."""
+def _expand_ids(tokens, upper: int) -> list[int]:
+    """Expand a list of ids and "a-b" ranges into plain ids.
+
+    A range that ends past `upper`, the largest valid id, is rejected
+    before it is expanded.
+    """
     ids: list[int] = []
     for tok in tokens:
         if isinstance(tok, int):
@@ -43,6 +47,8 @@ def _expand_ids(tokens) -> list[int]:
                 raise InputFormatError(f"bad id range {tok!r}") from exc
             if hi_i < lo_i:
                 raise InputFormatError(f"descending id range {tok!r}")
+            if hi_i > upper:
+                raise InputFormatError(f"id range {tok!r} runs past {upper}")
             ids.extend(range(lo_i, hi_i + 1))
         else:
             try:
@@ -70,15 +76,24 @@ def read_dataset(path) -> BinaryDataset:
     for lineno, line in enumerate(lines[n + 1:], start=n + 2):
         if line.strip():
             raise InputFormatError(f"{path}:{lineno}: line after the {n} row lines")
-    entries = np.zeros((n, m), dtype=np.uint8)
+    rows: list[int] = []
+    cols: list[int] = []
     for i in range(n):
+        tokens = lines[i + 1].split()
         try:
-            for j in _expand_ids(lines[i + 1].split()):
-                if not 1 <= j <= m:
-                    raise InputFormatError(f"column id {j} outside [1, {m}]")
-                entries[i, j - 1] = 1
+            try:
+                ids = list(map(int, tokens))
+            except ValueError:  # an "a-b" range, or a malformed id
+                ids = _expand_ids(tokens, m)
+            if ids and (min(ids) < 1 or max(ids) > m):
+                bad = next(j for j in ids if not 1 <= j <= m)
+                raise InputFormatError(f"column id {bad} outside [1, {m}]")
         except InputFormatError as exc:
             raise InputFormatError(f"{path}:{i + 2}: {exc}") from exc
+        rows += [i] * len(ids)
+        cols += ids
+    entries = np.zeros((n, m), dtype=np.uint8)
+    entries[rows, np.array(cols, dtype=np.intp) - 1] = 1
     return BinaryDataset(entries)
 
 
@@ -104,12 +119,13 @@ def _parse_lines(path, parse) -> list:
     return out
 
 
-def _json_ids(obj: dict, key: str) -> list[int]:
-    """The ids of a tile-set line's "rows" or "cols" array."""
+def _json_ids(obj: dict, key: str, upper: int) -> list[int]:
+    """The ids of a tile-set line's "rows" or "cols" array; no range
+    may run past `upper`."""
     ids = obj[key]
     if not isinstance(ids, list) or any(isinstance(i, bool) or not isinstance(i, (int, str)) for i in ids):
         raise InputFormatError(f"{key!r} must be an array of integer ids and \"a-b\" ranges")
-    return _expand_ids(ids)
+    return _expand_ids(ids, upper)
 
 
 def read_tileset(path, data: BinaryDataset) -> TileSet:
@@ -122,7 +138,7 @@ def read_tileset(path, data: BinaryDataset) -> TileSet:
         obj = json.loads(line)
         if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
             raise InputFormatError("need 'rows' and 'cols'")
-        tile = Tile(_json_ids(obj, "rows"), _json_ids(obj, "cols"))
+        tile = Tile(_json_ids(obj, "rows", data.n), _json_ids(obj, "cols", data.m))
         tile.check_fits(data.n, data.m)
         if "freq" not in obj:
             return FreqTile(tile, empirical_frequency(tile, data))

@@ -69,16 +69,22 @@ def random_annotated_set(
     return make_set(data, *tiles)
 
 
-def kl_ratio(t: TileSet, u: TileSet, b: TileSet, opts) -> float:
-    """The general distance (KL(M || U+B) + KL(M || T+B)) / KL(M || B),
-    with M fitted for T+U+B, from `fit` and `kl` alone: the KL ratio
-    that `distance` replaces by the Jaccard form on all-exact sets.
-    """
+def kl_terms(t: TileSet, u: TileSet, b: TileSet, opts) -> tuple[float, float, float]:
+    """KL(M || T+B), KL(M || U+B) and KL(M || B), with M fitted for
+    T+U+B, from `fit` and `kl` alone: the terms of `DistanceReport`."""
     model_m = fit(t.union(u, b), opts)
-    kl_m_b = kl(model_m, fit(b, opts))
+    return tuple(kl(model_m, fit(s, opts)) for s in (t.union(b), u.union(b), b))
+
+
+def kl_ratio(t: TileSet, u: TileSet, b: TileSet, opts) -> float:
+    """The general distance (KL(M || U+B) + KL(M || T+B)) / KL(M || B)
+    from `kl_terms`: the KL ratio that `distance` replaces by the
+    Jaccard form on all-exact sets.
+    """
+    kl_m_t, kl_m_u, kl_m_b = kl_terms(t, u, b, opts)
     if kl_m_b <= _ZERO_KL:
         return 1.0
-    return (kl(model_m, fit(u.union(b), opts)) + kl(model_m, fit(t.union(b), opts))) / kl_m_b
+    return (kl_m_u + kl_m_t) / kl_m_b
 
 
 def record_fits(monkeypatch) -> list:

@@ -20,6 +20,7 @@ from tiledive import (
     fit,
     fitamin,
     fruits,
+    jaccard_distance,
     kl,
 )
 from tiledive.maxent import FitOptions
@@ -27,6 +28,7 @@ from tiledive.maxent import FitOptions
 from conftest import (
     ACCEPTANCE_RESULTS,
     kl_ratio,
+    kl_terms,
     make_set,
     random_annotated_set,
     random_dataset,
@@ -142,11 +144,22 @@ def test_criterion_2_exact_distance_is_jaccard():
         sizes = [int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(0, 3))]
         (t, u, b), _ = random_exact_instance(rng, n, m, sizes)
         general = kl_ratio(t, u, b, TIGHT)
-        fast = distance(t, u, b, TIGHT).value
+        report = distance(t, u, b, TIGHT)
         c.check(
-            abs(general - fast) <= 1e-9,
-            f"instance {i}: general {general!r} != jaccard {fast!r}",
+            abs(general - report.value) <= 1e-9,
+            f"instance {i}: general {general!r} != jaccard {report.value!r}",
         )
+        c.check(
+            report.value.hex() == jaccard_distance(t, u, b).hex(),
+            f"instance {i}: distance {report.value!r} is not jaccard_distance bit for bit",
+        )
+        fitted = kl_terms(t, u, b, TIGHT)
+        counted = (report.kl_m_t, report.kl_m_u, report.kl_m_b)
+        for name, a, e in zip(("kl_m_t", "kl_m_u", "kl_m_b"), counted, fitted):
+            c.check(
+                abs(a - e) <= 1e-12 * abs(e),
+                f"instance {i}: area-count {name} {a!r} != fitted KL {e!r}",
+            )
     c.finish()
 
 

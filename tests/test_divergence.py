@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tiledive
 from tiledive import (
     BinaryDataset,
     FreqTile,
@@ -182,6 +183,29 @@ class TestToyDistances:
         d2 = distance(grown, m, toy_sets["empty"], TIGHT).value
         assert d1 == pytest.approx(6 / 22, abs=1e-9)
         assert d2 < d1 - 1e-9
+
+
+class TestExactPath:
+    def test_kl_terms_count_areas(self, toy_sets):
+        t, u = toy_sets["t"], toy_sets["u"]
+        x, y = t.area_mask(), u.area_mask()
+        report = distance(t, u)
+        assert report.used_jaccard_path
+        assert report.kl_m_t == pytest.approx(LN2 * np.count_nonzero(y & ~x), rel=1e-12)
+        assert report.kl_m_u == pytest.approx(LN2 * np.count_nonzero(x & ~y), rel=1e-12)
+        assert report.kl_m_b == pytest.approx(LN2 * np.count_nonzero(x | y), rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda t, u: distance(t, u),
+        lambda t, u: distance_matrix([t, u]),
+        lambda t, u: fruits(t, u),
+    ], ids=["distance", "distance_matrix", "fruits"])
+    def test_makes_no_kl_pass(self, monkeypatch, toy_sets, call):
+        calls = []
+        real = tiledive.divergence.kl
+        monkeypatch.setattr(tiledive.divergence, "kl", lambda *a: calls.append(a) or real(*a))
+        call(toy_sets["t"], toy_sets["u"])
+        assert calls == []
 
 
 class TestJaccard:

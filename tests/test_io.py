@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,35 @@ def test_dataset_bad_id_names_line(tmp_path, row):
     path.write_text(f"2 3\n1\n{row}\n")
     with pytest.raises(InputFormatError, match=r"d\.db:3: "):
         read_dataset(path)
+
+
+def test_dataset_bad_ids_on_two_lines_names_the_first(tmp_path):
+    path = tmp_path / "d.db"
+    path.write_text("3 3\n1\n2 7\n9\n")
+    with pytest.raises(InputFormatError, match=r"d\.db:3: column id 7 outside \[1, 3\]"):
+        read_dataset(path)
+    path.write_text("3 3\n1\n2 x\n1-9\n")
+    with pytest.raises(InputFormatError, match=r"d\.db:3: bad id 'x'"):
+        read_dataset(path)
+
+
+# A range that runs past the dims is rejected before it is expanded, and
+# an id outside them is named alone, not with the rest of its tile.
+@pytest.mark.parametrize("name, text, where", [
+    ("d.db", "5 5\n1\n1-2000000\n\n\n\n", r"d\.db:3: id range '1-2000000' runs past 5"),
+    ("t.tiles", '{"rows": ["1-2000000"], "cols": [1]}\n', r"t\.tiles:1: id range '1-2000000' runs past 5"),
+    ("t.tiles", '{"rows": [1], "cols": [2, "3-2000000"]}\n', r"t\.tiles:1: id range '3-2000000' runs past 5"),
+    ("t.tiles", '{"rows": %s, "cols": [1]}\n' % list(range(1, 5001)), r"t\.tiles:1: row id 5000 does not fit in 5x5"),
+], ids=["dataset-range", "tileset-rows-range", "tileset-cols-range", "tileset-long-id-list"])
+def test_ids_past_the_dims_fail_fast_and_short(tmp_path, name, text, where):
+    data = BinaryDataset(np.zeros((5, 5)))
+    path = tmp_path / name
+    path.write_text(text)
+    started = time.perf_counter()
+    with pytest.raises(InputFormatError, match=where) as err:
+        read_dataset(path) if name == "d.db" else read_tileset(path, data)
+    assert time.perf_counter() - started < 0.1
+    assert len(str(err.value).replace(str(path), "")) < 200
 
 
 def test_dataset_rejects_lines_after_last_row(tmp_path):
@@ -143,8 +174,43 @@ def test_random_round_trips(tmp_path_factory, data):
     assert read_dataset(path) == data
 
 
+@st.composite
+def dataset_lines(draw):
+    """A 0/1 matrix and its dataset file, each row's ones written as a
+    shuffled mix of plain ids and "a-b" runs, possibly overlapping."""
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entries = np.zeros((n, m), dtype=np.uint8)
+    lines = [f"{n} {m}"]
+    for i in range(n):
+        tokens = []
+        for lo, span in draw(st.lists(st.tuples(st.integers(1, m), st.integers(0, m - 1)), max_size=4)):
+            hi = min(lo + span, m)
+            entries[i, lo - 1:hi] = 1
+            tokens.append(str(lo) if lo == hi and draw(st.booleans()) else f"{lo}-{hi}")
+        lines.append(" ".join(draw(st.permutations(tokens))))
+    return entries, "\n".join(lines) + "\n"
+
+
 @settings(max_examples=50, deadline=None)
-@given(tiles=st.lists(st.tuples(ids, ids, st.floats(0.0, 1.0)), max_size=6))
+@given(case=dataset_lines())
+def test_dataset_ids_and_ranges_property(tmp_path_factory, case):
+    entries, text = case
+    path = tmp_path_factory.mktemp("io") / "d.db"
+    path.write_text(text)
+    assert read_dataset(path).entries.tolist() == entries.tolist()
+
+
+def _no_exact_clash(tiles) -> bool:
+    """No rectangle is drawn at both exact frequencies, which TileSet rejects."""
+    exact: dict = {}
+    return all(
+        exact.setdefault((frozenset(r), frozenset(c)), a) == a
+        for r, c, a in tiles if a in (0.0, 1.0)
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(tiles=st.lists(st.tuples(ids, ids, st.floats(0.0, 1.0)), max_size=6).filter(_no_exact_clash))
 def test_tileset_round_trip_property(tmp_path_factory, tiles):
     data = BinaryDataset(np.zeros((9, 9)))
     ts = TileSet(data.dims, tuple(FreqTile(Tile(r, c), a) for r, c, a in tiles))
