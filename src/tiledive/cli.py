@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: convert (itemsets | clustering | margins | density),
-distance, distance-matrix, redescribe, rank, model dump. Exit status is
-0 on success, 2 on input errors, 3 on numerical failures; any other
-error is a bug and surfaces as a traceback.
+distance, distance-matrix, redescribe, rank, model dump. Every command
+takes `--data` and `--output`; the fitting commands also take
+`--background` and `--tolerance`. Exit status is 0 on success, 2 on
+input errors, 3 on numerical failures; any other error is a bug and
+surfaces as a traceback.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,7 +25,6 @@ from .convert import (
     itemsets_to_tiles,
     margin_tiles,
 )
-from .core import BinaryDataset, TileSet
 from .divergence import distance, distance_matrix
 from .errors import InputError, InputFormatError, TilediveError
 from .io import read_clustering, read_dataset, read_itemsets, read_tileset
@@ -34,33 +36,51 @@ from .redescribe import fruits
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
-_INPUT_ERRORS = (InputError, OSError)
+
+def _on_data(command):
+    """Add --data and --output. The command gets the dataset in place of
+    the --data path and returns its output lines, written to --output or
+    stdout with a newline after each. `functools.wraps` keeps the
+    command's docstring and the options click stored in its `__dict__`."""
+    @click.option("--data", required=True, type=click.Path(exists=True))
+    @click.option("--output", type=click.Path(), default=None)
+    @functools.wraps(command)
+    def run(data, output, **kwargs):
+        text = "".join(line + "\n" for line in command(read_dataset(data), **kwargs))
+        if output:
+            Path(output).write_text(text)
+        else:
+            click.echo(text, nl=False)
+    return run
 
 
-def _emit(lines: list[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if output:
-        Path(output).write_text(text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _load_background(spec: str, data: BinaryDataset) -> TileSet:
-    if spec in BACKGROUND_PRESETS:
-        return background_tiles(spec, data)
-    if Path(spec).exists():
-        return read_tileset(spec, data=data)
-    raise InputFormatError(
-        f"background {spec!r} is neither a preset ({', '.join(BACKGROUND_PRESETS)}) "
-        f"nor an existing tile file"
-    )
+def _fitting(command):
+    """Add --background and --tolerance. The command gets the background
+    tile set `b` and the fit options `opts` after the dataset."""
+    @click.option("--background", default="none", show_default=True,
+                  help="Preset name or tile-set file.")
+    @click.option("--tolerance", type=float, default=1e-6, show_default=True,
+                  help="Max per-tile frequency residual, in (0, 1).")
+    @functools.wraps(command)
+    def run(ds, background, tolerance, **kwargs):
+        if background in BACKGROUND_PRESETS:
+            b = background_tiles(background, ds)
+        elif Path(background).exists():
+            b = read_tileset(background, data=ds)
+        else:
+            raise InputFormatError(
+                f"background {background!r} is neither a preset ({', '.join(BACKGROUND_PRESETS)}) "
+                f"nor an existing tile file"
+            )
+        return command(ds, b, FitOptions(tolerance=tolerance), **kwargs)
+    return run
 
 
 class _Cli(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _INPUT_ERRORS as exc:
+        except (InputError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INPUT_ERROR)
         except TilediveError as exc:
@@ -73,12 +93,6 @@ def main():
     """Measure, redescribe, and rank binary-data mining results as noisy tiles."""
 
 
-fit_options = click.option(
-    "--tolerance", type=float, default=1e-6, show_default=True,
-    help="Max per-tile frequency residual, in (0, 1).",
-)
-
-
 @main.group()
 def convert():
     """Convert mining results into tile-set files."""
@@ -86,133 +100,100 @@ def convert():
 
 @convert.command("itemsets")
 @click.argument("input_file", type=click.Path(exists=True))
-@click.option("--data", required=True, type=click.Path(exists=True))
-@click.option("--output", type=click.Path(), default=None)
-def convert_itemsets(input_file, data, output):
+@_on_data
+def convert_itemsets(ds, input_file):
     """Convert itemsets (one per line, column ids) into exact tiles."""
-    ds = read_dataset(data)
-    result = itemsets_to_tiles(read_itemsets(input_file), ds)
+    result = itemsets_to_tiles(read_itemsets(input_file, ds), ds)
     if result.skipped:
         click.echo(f"warning: skipped {result.skipped} itemset(s) with empty support", err=True)
-    _emit(tileset_to_lines(result.tiles), output)
+    return tileset_to_lines(result.tiles)
 
 
 @convert.command("clustering")
 @click.argument("input_file", type=click.Path(exists=True))
-@click.option("--data", required=True, type=click.Path(exists=True))
+@_on_data
 @click.option("--mode", type=click.Choice(["single-tile", "per-column"]), default="per-column", show_default=True)
-@click.option("--output", type=click.Path(), default=None)
-def convert_clustering(input_file, data, mode, output):
+def convert_clustering(ds, input_file, mode):
     """Convert a clustering ("row cluster" pairs, one per line) into tiles."""
-    ts = clustering_to_tiles(read_clustering(input_file), read_dataset(data), mode)
-    _emit(tileset_to_lines(ts), output)
+    return tileset_to_lines(clustering_to_tiles(read_clustering(input_file, ds), ds, mode))
 
 
 @convert.command("margins")
-@click.option("--data", required=True, type=click.Path(exists=True))
+@_on_data
 @click.option("--axis", type=click.Choice(["columns", "rows"]), default="columns", show_default=True)
-@click.option("--output", type=click.Path(), default=None)
-def convert_margins(data, axis, output):
+def convert_margins(ds, axis):
     """Emit one margin tile per column (or row)."""
-    ds = read_dataset(data)
-    _emit(tileset_to_lines(margin_tiles(ds, axis)), output)
+    return tileset_to_lines(margin_tiles(ds, axis))
 
 
 @convert.command("density")
-@click.option("--data", required=True, type=click.Path(exists=True))
-@click.option("--output", type=click.Path(), default=None)
-def convert_density(data, output):
+@_on_data
+def convert_density(ds):
     """Emit a single whole-data tile at the global density."""
-    ds = read_dataset(data)
-    _emit(tileset_to_lines(density_tile(ds)), output)
+    return tileset_to_lines(density_tile(ds))
 
 
 @main.command("distance")
-@click.option("--data", required=True, type=click.Path(exists=True))
+@_on_data
 @click.option("--left", required=True, type=click.Path(exists=True))
 @click.option("--right", required=True, type=click.Path(exists=True))
-@click.option("--background", default="none", show_default=True,
-              help="Preset name or tile-set file.")
-@fit_options
+@_fitting
 @click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv", show_default=True)
-@click.option("--output", type=click.Path(), default=None)
-def distance_cmd(data, left, right, background, tolerance, fmt, output):
+def distance_cmd(ds, b, opts, left, right, fmt):
     """Distance between two tile-set files given background knowledge."""
-    ds = read_dataset(data)
-    t = read_tileset(left, data=ds)
-    u = read_tileset(right, data=ds)
-    b = _load_background(background, ds)
-    report = distance(t, u, b, FitOptions(tolerance=tolerance))
-    if fmt == "jsonl":
-        _emit([json.dumps({
-            "distance": report.value,
-            "kl_joint_left": report.kl_m_t,
-            "kl_joint_right": report.kl_m_u,
-            "kl_joint_background": report.kl_m_b,
-            "used_jaccard_path": report.used_jaccard_path,
-        })], output)
-    else:
-        _emit([f"{report.value:.6f}"], output)
+    report = distance(read_tileset(left, data=ds), read_tileset(right, data=ds), b, opts)
+    if fmt == "tsv":
+        return [f"{report.value:.6f}"]
+    return [json.dumps({
+        "distance": report.value,
+        "kl_joint_left": report.kl_m_t,
+        "kl_joint_right": report.kl_m_u,
+        "kl_joint_background": report.kl_m_b,
+        "used_jaccard_path": report.used_jaccard_path,
+    })]
 
 
 @main.command("distance-matrix")
 @click.argument("tile_files", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--data", required=True, type=click.Path(exists=True))
-@click.option("--background", default="none", show_default=True)
-@fit_options
-@click.option("--output", type=click.Path(), default=None)
-def distance_matrix_cmd(tile_files, data, background, tolerance, output):
+@_on_data
+@_fitting
+def distance_matrix_cmd(ds, b, opts, tile_files):
     """Pairwise distance matrix over tile-set files, as TSV."""
-    ds = read_dataset(data)
-    sets = [read_tileset(f, data=ds) for f in tile_files]
-    b = _load_background(background, ds)
-    values = distance_matrix(sets, b, FitOptions(tolerance=tolerance))
+    values = distance_matrix([read_tileset(f, data=ds) for f in tile_files], b, opts)
     names = [Path(f).name for f in tile_files]
-    lines = ["\t".join([""] + names)]
-    for name, row in zip(names, values):
-        lines.append("\t".join([name] + [f"{v:.17g}" for v in row]))
-    _emit(lines, output)
+    return ["\t".join([""] + names)] + [
+        "\t".join([name] + [f"{v:.17g}" for v in row]) for name, row in zip(names, values)
+    ]
 
 
 @main.command("redescribe")
-@click.option("--data", required=True, type=click.Path(exists=True))
+@_on_data
 @click.option("--target", required=True, type=click.Path(exists=True))
 @click.option("--candidates", required=True, type=click.Path(exists=True))
-@click.option("--background", default="none", show_default=True)
-@fit_options
-@click.option("--output", type=click.Path(), default=None)
-def redescribe_cmd(data, target, candidates, background, tolerance, output):
+@_fitting
+def redescribe_cmd(ds, b, opts, target, candidates):
     """Greedily pick candidate tiles that redescribe the target set."""
-    ds = read_dataset(data)
-    t = read_tileset(target, data=ds)
-    c = read_tileset(candidates, data=ds)
-    b = _load_background(background, ds)
-    result = fruits(t, c, b, FitOptions(tolerance=tolerance))
-    lines = [
+    result = fruits(read_tileset(target, data=ds), read_tileset(candidates, data=ds), b, opts)
+    if not result.selected:
+        return [json.dumps({"step": 0, "tile": None, "distance": result.final_distance})]
+    return [
         json.dumps({"step": i + 1, "tile": tile_record(ft), "distance": d})
         for i, (ft, d) in enumerate(zip(result.selected, result.trace))
     ]
-    _emit(lines if lines else [json.dumps({"step": 0, "tile": None, "distance": result.final_distance})], output)
 
 
 @main.command("rank")
-@click.option("--data", required=True, type=click.Path(exists=True))
+@_on_data
 @click.option("--tiles", required=True, type=click.Path(exists=True))
-@click.option("--background", default="none", show_default=True)
+@_fitting
 @click.option("--mode", type=click.Choice(["exact", "heuristic"]), default="exact", show_default=True)
-@fit_options
-@click.option("--output", type=click.Path(), default=None)
-def rank_cmd(data, tiles, background, mode, tolerance, output):
+def rank_cmd(ds, b, opts, tiles, mode):
     """Order tiles so each adds maximal novel information."""
-    ds = read_dataset(data)
-    ts = read_tileset(tiles, data=ds)
-    b = _load_background(background, ds)
-    ranking = fitamin(ts, b, mode, FitOptions(tolerance=tolerance))
-    lines = [
+    ranking = fitamin(read_tileset(tiles, data=ds), b, mode, opts)
+    return [
         json.dumps({"step": i + 1, "tile": tile_record(ft), "distance_after": d, "gain": g})
         for i, (ft, d, g) in enumerate(zip(ranking.order, ranking.trace, ranking.gains))
     ]
-    _emit(lines, output)
 
 
 @main.group()
@@ -221,19 +202,13 @@ def model():
 
 
 @model.command("dump")
-@click.option("--data", required=True, type=click.Path(exists=True))
+@_on_data
 @click.option("--tiles", required=True, type=click.Path(exists=True))
-@click.option("--background", default="none", show_default=True)
-@fit_options
-@click.option("--output", type=click.Path(), default=None)
-def model_dump(data, tiles, background, tolerance, output):
+@_fitting
+def model_dump(ds, b, opts, tiles):
     """Fit the model for a tile set and dump its probability matrix as TSV."""
-    ds = read_dataset(data)
-    ts = read_tileset(tiles, data=ds)
-    b = _load_background(background, ds)
-    m = fit(ts.union(b), FitOptions(tolerance=tolerance))
-    lines = ["\t".join(f"{v:.17g}" for v in row) for row in m.p]
-    _emit(lines, output)
+    m = fit(read_tileset(tiles, data=ds).union(b), opts)
+    return ["\t".join(f"{v:.17g}" for v in row) for row in m.p]
 
 
 if __name__ == "__main__":

@@ -16,30 +16,17 @@ import numpy as np
 from .core import BinaryDataset, FreqTile, Tile, TileSet, empirical_frequency
 from .errors import InputError, OutOfBounds
 
-BACKGROUND_PRESETS = ("none", "density", "columns", "rows", "columns+rows")
-
 
 @dataclass(frozen=True)
 class ItemsetResult:
-    """Column-id sets, optionally with explicit per-itemset row supports."""
+    """Column-id sets; each itemset is kept sorted and without repeats."""
 
     itemsets: tuple[tuple[int, ...], ...]
-    supports: tuple[tuple[int, ...] | None, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(
             self, "itemsets", tuple(tuple(sorted(set(s))) for s in self.itemsets)
         )
-        if self.supports is not None:
-            if len(self.supports) != len(self.itemsets):
-                raise InputError("supports must align with itemsets")
-            object.__setattr__(
-                self,
-                "supports",
-                tuple(
-                    None if s is None else tuple(sorted(set(s))) for s in self.supports
-                ),
-            )
 
 
 @dataclass(frozen=True)
@@ -67,22 +54,17 @@ class ConversionResult:
 
 
 def itemsets_to_tiles(r: ItemsetResult, data: BinaryDataset) -> ConversionResult:
-    """One tile per itemset over its supporting rows, frequency from data.
-
-    Without explicit supports, the rows are those containing every
-    column of the itemset; the tile is then exact with frequency 1.
-    Itemsets supported by no row are skipped and counted.
+    """One exact tile per itemset over its supporting rows, the rows
+    that contain every column of the itemset. Itemsets supported by no
+    row are skipped and counted.
     """
     tiles = []
     skipped = 0
     for i, itemset in enumerate(r.itemsets):
         if not itemset or itemset[-1] > data.m or itemset[0] < 1:
             raise OutOfBounds(f"itemset #{i + 1} has column ids outside [1, {data.m}]")
-        rows = None if r.supports is None else r.supports[i]
-        if rows is None:
-            cols0 = np.asarray(itemset, dtype=np.intp) - 1
-            support = np.flatnonzero(data.entries[:, cols0].all(axis=1)) + 1
-            rows = tuple(int(x) for x in support)
+        cols0 = np.asarray(itemset, dtype=np.intp) - 1
+        rows = tuple(int(x) for x in np.flatnonzero(data.entries[:, cols0].all(axis=1)) + 1)
         if not rows:
             skipped += 1
             continue
@@ -132,16 +114,18 @@ def _grid(row_groups, col_groups, data: BinaryDataset) -> TileSet:
     return TileSet(data.dims, tuple(FreqTile(t, empirical_frequency(t, data)) for t in tiles))
 
 
+_PRESETS = {
+    "none": lambda data: TileSet(data.dims),
+    "density": density_tile,
+    "columns": lambda data: margin_tiles(data, "columns"),
+    "rows": lambda data: margin_tiles(data, "rows"),
+    "columns+rows": lambda data: margin_tiles(data, "columns").union(margin_tiles(data, "rows")),
+}
+BACKGROUND_PRESETS = tuple(_PRESETS)
+
+
 def background_tiles(preset: str, data: BinaryDataset) -> TileSet:
     """Build a background tile set from a named preset."""
-    if preset == "none":
-        return TileSet(data.dims)
-    if preset == "density":
-        return density_tile(data)
-    if preset == "columns":
-        return margin_tiles(data, "columns")
-    if preset == "rows":
-        return margin_tiles(data, "rows")
-    if preset == "columns+rows":
-        return margin_tiles(data, "columns").union(margin_tiles(data, "rows"))
-    raise InputError(f"unknown background preset {preset!r}; use one of {BACKGROUND_PRESETS}")
+    if preset not in _PRESETS:
+        raise InputError(f"unknown background preset {preset!r}; use one of {BACKGROUND_PRESETS}")
+    return _PRESETS[preset](data)

@@ -8,8 +8,8 @@ Tile-set file: one JSON object per line,
 number, and "rows" and "cols" are JSON arrays of integer ids.
 Id lists in either format may use "a-b" range shorthand.
 Itemset file: one itemset per line, as its column ids.
-Clustering file: one "row cluster" pair of ids per line, each row at
-most once.
+Clustering file: one "row cluster" pair of ids per line, each row
+exactly once.
 Tile-set, itemset and clustering files skip blank lines.
 """
 
@@ -58,6 +58,12 @@ def _expand_ids(tokens, upper: int) -> list[int]:
     return ids
 
 
+def _check_id(kind: str, i: int, upper: int) -> int:
+    if not 1 <= i <= upper:
+        raise InputFormatError(f"{kind} id {i} outside [1, {upper}]")
+    return i
+
+
 def read_dataset(path) -> BinaryDataset:
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -86,8 +92,8 @@ def read_dataset(path) -> BinaryDataset:
             except ValueError:  # an "a-b" range, or a malformed id
                 ids = _expand_ids(tokens, m)
             if ids and (min(ids) < 1 or max(ids) > m):
-                bad = next(j for j in ids if not 1 <= j <= m)
-                raise InputFormatError(f"column id {bad} outside [1, {m}]")
+                for j in ids:
+                    _check_id("column", j, m)
         except InputFormatError as exc:
             raise InputFormatError(f"{path}:{i + 2}: {exc}") from exc
         rows += [i] * len(ids)
@@ -149,14 +155,17 @@ def read_tileset(path, data: BinaryDataset) -> TileSet:
     return TileSet(data.dims, tuple(_parse_lines(path, parse)))
 
 
-def read_itemsets(path) -> ItemsetResult:
-    """Read an itemset file."""
-    itemsets = _parse_lines(path, lambda line: tuple(int(tok) for tok in line.split()))
+def read_itemsets(path, data: BinaryDataset) -> ItemsetResult:
+    """Read an itemset file of column ids of `data`."""
+    itemsets = _parse_lines(
+        path, lambda line: tuple(_check_id("column", int(tok), data.m) for tok in line.split())
+    )
     return ItemsetResult(tuple(itemsets))
 
 
-def read_clustering(path) -> ClusteringResult:
-    """Read a clustering file; cluster ids run from 1 to the largest given.
+def read_clustering(path, data: BinaryDataset) -> ClusteringResult:
+    """Read a clustering file that labels every row of `data` once;
+    cluster ids run from 1 to the largest given.
 
     A row listed on two lines is malformed, even with the same label.
     """
@@ -166,13 +175,19 @@ def read_clustering(path) -> ClusteringResult:
         parts = line.split()
         if len(parts) != 2:
             raise InputFormatError("expected 'row cluster'")
-        row, cluster = int(parts[0]), int(parts[1])
+        row = _check_id("row", int(parts[0]), data.n)
+        cluster = int(parts[1])
+        if cluster < 1:
+            raise InputFormatError(f"cluster id {cluster} is below 1")
         if row in labels:
             raise InputFormatError(f"row {row} is listed twice")
         labels[row] = cluster
 
     _parse_lines(path, parse)
-    return ClusteringResult(labels, max(labels.values(), default=0))
+    if len(labels) < data.n:
+        missing = next(i for i in range(1, data.n + 1) if i not in labels)
+        raise InputFormatError(f"{path}: row {missing} has no cluster; every row 1..{data.n} needs one")
+    return ClusteringResult(labels, max(labels.values()))
 
 
 def tile_record(ft: FreqTile) -> dict:
@@ -186,4 +201,5 @@ def tileset_to_lines(ts: TileSet) -> list[str]:
 
 
 def write_tileset(ts: TileSet, path) -> None:
-    Path(path).write_text("\n".join(tileset_to_lines(ts)) + "\n")
+    """Write one line per tile; an empty set is an empty file."""
+    Path(path).write_text("".join(line + "\n" for line in tileset_to_lines(ts)))

@@ -25,14 +25,6 @@ class TestItemsets:
         assert ft.tile.cols == (1, 2)
         assert ft.alpha == 1.0  # supports contain the itemset by definition
 
-    def test_explicit_support_keeps_frequency(self, toy_data):
-        result = itemsets_to_tiles(
-            ItemsetResult(((1, 2),), supports=((1, 2, 3),)), toy_data
-        )
-        (ft,) = result.tiles
-        assert ft.tile.rows == (1, 2, 3)
-        assert ft.alpha == pytest.approx(4 / 6)
-
     def test_unsupported_itemset_skipped(self, toy_data):
         # no row of the grid contains both column 1 and column 4
         result = itemsets_to_tiles(ItemsetResult(((1, 4), (1, 2))), toy_data)
@@ -46,10 +38,6 @@ class TestItemsets:
     def test_column_out_of_range(self, toy_data):
         with pytest.raises(OutOfBounds):
             itemsets_to_tiles(ItemsetResult(((5, 6),)), toy_data)
-
-    def test_misaligned_supports_rejected(self):
-        with pytest.raises(ValueError):
-            ItemsetResult(((1,), (2,)), supports=((1,),))
 
 
 class TestClustering:

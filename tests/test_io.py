@@ -109,6 +109,13 @@ def test_tileset_round_trip(tmp_path, toy_data, toy_tiles):
     assert back == ts  # frequencies survive the trip bit-for-bit
 
 
+def test_empty_tileset_is_empty_file(tmp_path, toy_data):
+    path = tmp_path / "t.tiles"
+    write_tileset(TileSet(toy_data.dims), path)
+    assert path.read_bytes() == b""
+    assert read_tileset(path, toy_data) == TileSet(toy_data.dims)
+
+
 def test_tileset_ranges_and_missing_freq(tmp_path, toy_data):
     path = tmp_path / "t.tiles"
     path.write_text('{"rows": ["2-5"], "cols": [1, "2-5"]}\n')
@@ -224,26 +231,42 @@ def test_tileset_round_trip_property(tmp_path_factory, tiles):
 def test_itemsets_round_trip_property(tmp_path_factory, itemsets):
     path = tmp_path_factory.mktemp("io") / "sets.txt"
     path.write_text("".join(" ".join(map(str, s)) + "\n\n" for s in itemsets))
-    assert read_itemsets(path) == ItemsetResult(tuple(map(tuple, itemsets)))
+    data = BinaryDataset(np.zeros((1, 9)))
+    assert read_itemsets(path, data) == ItemsetResult(tuple(map(tuple, itemsets)))
 
 
 @settings(max_examples=50, deadline=None)
-@given(labels=st.dictionaries(st.integers(1, 30), st.integers(1, 5), max_size=30))
-def test_clustering_round_trip_property(tmp_path_factory, labels):
+@given(cids=st.lists(st.integers(1, 5), min_size=1, max_size=30), data=st.data())
+def test_clustering_round_trip_property(tmp_path_factory, cids, data):
+    labels = {row: cid for row, cid in zip(data.draw(st.permutations(range(1, len(cids) + 1))), cids)}
     path = tmp_path_factory.mktemp("io") / "labels.txt"
     path.write_text("".join(f"{row} {cid}\n" for row, cid in labels.items()))
-    assert read_clustering(path) == ClusteringResult(labels, max(labels.values(), default=0))
+    dataset = BinaryDataset(np.zeros((len(cids), 1)))
+    assert read_clustering(path, dataset) == ClusteringResult(labels, max(cids))
 
 
-def test_clustering_line_needs_two_ids(tmp_path):
+def test_clustering_line_needs_two_ids(tmp_path, toy_data):
     path = tmp_path / "labels.txt"
     path.write_text("1 1\n2\n")
     with pytest.raises(InputFormatError, match=r"labels\.txt:2: expected 'row cluster'"):
-        read_clustering(path)
+        read_clustering(path, toy_data)
 
 
-def test_clustering_row_listed_twice_names_line(tmp_path):
+def test_clustering_row_listed_twice_names_line(tmp_path, toy_data):
     path = tmp_path / "labels.txt"
     path.write_text("1 1\n2 1\n3 2\n\n1 2\n")
     with pytest.raises(InputFormatError, match=r"labels\.txt:5: row 1 is listed twice"):
-        read_clustering(path)
+        read_clustering(path, toy_data)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_itemsets, "1 2\n\n9 9\n", r"f\.txt:3: column id 9 outside \[1, 5\]"),
+    (read_clustering, "1 1\n2 1\n3 0\n4 1\n5 1\n", r"f\.txt:3: cluster id 0 is below 1"),
+    (read_clustering, "1 1\n2 1\n3 1\n4 1\n9 1\n5 1\n", r"f\.txt:5: row id 9 outside \[1, 5\]"),
+    (read_clustering, "1 1\n2 1\n4 1\n5 1\n", r"f\.txt: row 3 has no cluster; every row 1\.\.5 needs one"),
+], ids=["itemset-column", "cluster-id", "clustering-row", "clustering-missing-row"])
+def test_out_of_range_id_names_file_line_and_id(tmp_path, toy_data, read, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match=message):
+        read(path, toy_data)
