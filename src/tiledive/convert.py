@@ -41,9 +41,6 @@ class ClusteringResult:
             if not 1 <= cid <= self.k:
                 raise InputError(f"cluster id {cid} for row {row} outside [1, {self.k}]")
 
-    def members(self, cid: int) -> tuple[int, ...]:
-        return tuple(sorted(r for r, c in self.labels.items() if c == cid))
-
 
 @dataclass(frozen=True)
 class ConversionResult:
@@ -86,10 +83,12 @@ def clustering_to_tiles(
         raise InputError(f"unknown mode {mode!r}")
     if set(r.labels) != set(range(1, data.n + 1)):
         raise InputError("labels must cover exactly the rows 1..n")
-    clusters = [r.members(cid) for cid in range(1, r.k + 1)]
+    clusters: dict[int, list[int]] = {}
+    for row, cid in sorted(r.labels.items()):
+        clusters.setdefault(cid, []).append(row)
     cols = range(1, data.m + 1)
     col_groups = [cols] if mode == "single-tile" else [(j,) for j in cols]
-    return _grid([rows for rows in clusters if rows], col_groups, data)
+    return _grid([clusters[cid] for cid in sorted(clusters)], col_groups, data)
 
 
 def density_tile(data: BinaryDataset) -> TileSet:

@@ -71,10 +71,15 @@ class Tile:
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
+    _block: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _as_id_tuple(self.rows, "row"))
         object.__setattr__(self, "cols", _as_id_tuple(self.cols, "column"))
+        block = np.ix_(*(np.asarray(ids, dtype=np.intp) - 1 for ids in (self.rows, self.cols)))
+        for index in block:
+            index.setflags(write=False)
+        object.__setattr__(self, "_block", block)
 
     @property
     def area(self) -> int:
@@ -87,9 +92,9 @@ class Tile:
             raise OutOfBounds(f"column id {self.cols[-1]} does not fit in {n}x{m}")
 
     def block(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based `np.ix_` index pair that selects the tile's area of an n x m array."""
-        rows = np.asarray(self.rows, dtype=np.intp) - 1
-        return np.ix_(rows, np.asarray(self.cols, dtype=np.intp) - 1)
+        """0-based `np.ix_` index pair that selects the tile's area of an n x m array;
+        built once, at construction, and read-only, so every call returns the same pair."""
+        return self._block
 
     def __repr__(self) -> str:
         return f"Tile(rows={list(self.rows)}, cols={list(self.cols)})"

@@ -76,7 +76,7 @@ def model_frequency(tile: Tile, model: EntryModel) -> float:
     return float(model.p[tile.block()].mean())
 
 
-def _settle(ts: TileSet, blocks: list) -> tuple[np.ndarray, list, np.ndarray]:
+def _settle(ts: TileSet) -> tuple[np.ndarray, list, np.ndarray]:
     """Settle the entries that exact tiles and boundary targets force.
 
     A tile's target mass lies between its settled mass and that plus
@@ -94,13 +94,13 @@ def _settle(ts: TileSet, blocks: list) -> tuple[np.ndarray, list, np.ndarray]:
     their free entries must still carry).
     """
     p = np.full(ts.dims, 0.5)
-    still = sorted(range(len(blocks)), key=lambda j: not ts.tiles[j].exact)
+    still = sorted(range(len(ts.tiles)), key=lambda j: not ts.tiles[j].exact)
     changed = True
     while changed:
         changed = False
         tiles, still, rest = still, [], []
         for j in tiles:
-            ft, block = ts.tiles[j], blocks[j]
+            ft, block = ts.tiles[j], ts.tiles[j].tile.block()
             sub_p = p[block]
             free = sub_p == 0.5
             a = ft.tile.area
@@ -129,7 +129,7 @@ def _settle(ts: TileSet, blocks: list) -> tuple[np.ndarray, list, np.ndarray]:
     return p, still, np.array(rest)
 
 
-def _entry_classes(blocks: list, free: np.ndarray):
+def _entry_classes(cover: list[Tile], free: np.ndarray):
     """Group the free entries by the set of tiles covering them.
 
     Each tile splits every class it touches, so a class's label links
@@ -143,8 +143,8 @@ def _entry_classes(blocks: list, free: np.ndarray):
     """
     label = np.zeros(free.shape, dtype=np.intp)  # label 0: covered by no tile
     parent, tile_of = [np.zeros(1, dtype=np.intp)], [np.full(1, -1)]
-    count, k = 1, len(blocks)
-    for j, block in enumerate(blocks):
+    count, k = 1, len(cover)
+    for j, block in enumerate(tile.block() for tile in cover):
         old = label[block]
         low = int(old.min())  # scan only the label range the tile meets
         touched = np.zeros(int(old.max()) - low + 1, dtype=bool)
@@ -201,12 +201,11 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     Raises InfeasibleTile for an unattainable target, and NoConvergence
     when a tile ends further than `opts.tolerance` from its target.
     """
-    blocks = [ft.tile.block() for ft in ts.tiles]
     # Only the tiles the settle pass leaves open enter the solve.
-    p, active, targets = _settle(ts, blocks)
+    p, active, targets = _settle(ts)
     free = p == 0.5  # settled entries hold 0 or 1
     label, sizes, tiles, classes, pair_keys, pair_classes = _entry_classes(
-        [blocks[j] for j in active], free
+        [ts.tiles[j].tile for j in active], free
     )
     k = len(active)
     areas = np.array([ts.tiles[j].tile.area for j in active], dtype=float)
@@ -253,7 +252,8 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
 
     eps = np.finfo(float)
     p[free] = np.clip(_sigmoid(s), eps.tiny, 1.0 - eps.epsneg)[label]
-    residual = _max_residual(ts, blocks, p)
+    residual = max((abs(float(p[ft.tile.block()].mean()) - ft.alpha) for ft in ts.tiles),
+                   default=0.0)
     if residual > opts.tolerance:
         raise NoConvergence(
             f"residual {residual:.3g} > tolerance {opts.tolerance:.3g}; "
@@ -262,17 +262,10 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     return EntryModel(dims=ts.dims, p=p, residual=residual)
 
 
-def _max_residual(ts: TileSet, blocks: list, p: np.ndarray) -> float:
-    worst = 0.0
-    for ft, block in zip(ts.tiles, blocks):
-        worst = max(worst, abs(float(p[block].mean()) - ft.alpha))
-    return worst
-
-
 def exact_fastpath(ts: TileSet) -> EntryModel:
     """Closed form for all-exact tile sets: the settle pass, 1/2 elsewhere."""
     for ft in ts.tiles:
         if not ft.exact:
             raise NotExact(f"exact_fastpath requires exact tiles, got {ft}")
-    p, _, _ = _settle(ts, [ft.tile.block() for ft in ts.tiles])
+    p, _, _ = _settle(ts)
     return EntryModel(dims=ts.dims, p=p, residual=0.0)

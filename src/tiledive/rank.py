@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import FreqTile, TileSet
-from .divergence import _ZERO_KL, _fit_or_fast, kl
+from .divergence import _ZERO_KL, _fit_joint, _fit_or_fast, kl
 from .errors import InfiniteSurprise, InputError
 from .maxent import EntryModel, FitOptions, model_frequency
 
@@ -69,7 +69,7 @@ def fitamin(
         background = TileSet(tiles.dims)
 
     full = tiles.union(background)
-    model_full = _fit_or_fast(full, opts)
+    model_full = _fit_joint(full, opts)
     model_bg = _fit_or_fast(background, opts)
     kl_full_bg = kl(model_full, model_bg)
 

@@ -322,6 +322,20 @@ class TestExitCodes:
         )
         assert result.exit_code == 3
 
+    def test_unattainable_noisy_tiles_are_numerical_error(self, runner, workdir):
+        # entry (2, 2) wants more mass than its whole column carries
+        (workdir / "small.txt").write_text("2 2\n1 2\n2\n")
+        (workdir / "unattainable.tiles").write_text(
+            '{"rows": [1, 2], "cols": [2], "freq": 0.1}\n'
+            '{"rows": [2], "cols": [2], "freq": 0.9}\n'
+            '{"rows": [1], "cols": [1, 2], "freq": 0.25}\n'
+        )
+        result = runner.invoke(
+            main,
+            ["model", "dump", "--data", "small.txt", "--tiles", "unattainable.tiles"],
+        )
+        assert result.exit_code == 3
+
     def test_clashing_exact_duplicates_in_one_file_are_numerical_error(self, runner, workdir):
         (workdir / "clash.tiles").write_text(
             '{"rows": [1, 2], "cols": [1, 2], "freq": 1.0}\n'

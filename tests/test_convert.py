@@ -64,6 +64,21 @@ class TestClustering:
         ts = clustering_to_tiles(ClusteringResult(labels, 3), toy_data, "single-tile")
         assert len(ts.tiles) == 1
 
+    @pytest.mark.parametrize("mode", ["single-tile", "per-column"])
+    def test_tiles_follow_cluster_members(self, mode):
+        # a shuffled labeling with empty clusters: clusters ascending,
+        # each over its sorted members, empty ones skipped
+        rng = np.random.default_rng(11)
+        n, k = 40, 12
+        data = BinaryDataset((rng.random((n, 3)) < 0.5).astype(np.uint8))
+        rows = rng.permutation(np.arange(1, n + 1))
+        r = ClusteringResult({int(i): int(c) for i, c in zip(rows, rng.integers(2, k, n))}, k)
+        members = [sorted(i for i, c in r.labels.items() if c == cid) for cid in range(1, k + 1)]
+        col_groups = [(1, 2, 3)] if mode == "single-tile" else [(1,), (2,), (3,)]
+        expected = [Tile(rows, cols) for rows in members if rows for cols in col_groups]
+        ts = clustering_to_tiles(r, data, mode)
+        assert [ft.tile for ft in ts.tiles] == expected
+
     def test_partial_labeling_rejected(self, toy_data):
         with pytest.raises(ValueError):
             clustering_to_tiles(ClusteringResult({1: 1, 2: 1}, 1), toy_data)

@@ -34,6 +34,20 @@ class TestTileValidation:
         with pytest.raises(OutOfBounds, match="row ids must be positive"):
             Tile([0, 1], [1])
 
+    def test_block_is_built_once_and_read_only(self):
+        t = Tile([3, 1], [2, 4])
+        rows, cols = t.block()
+        assert t.block()[0] is rows and t.block()[1] is cols
+        np.testing.assert_array_equal(np.arange(12).reshape(3, 4)[rows, cols], [[1, 3], [9, 11]])
+        for index in (rows, cols):
+            with pytest.raises(ValueError):
+                index[0] = 0
+        # the index takes no part in equality, hash or repr
+        same = Tile((1, 3), (2, 4))
+        assert t == same and hash(t) == hash(same)
+        assert t != Tile([1, 3], [2])
+        assert repr(t) == "Tile(rows=[1, 3], cols=[2, 4])"
+
     def test_freq_tile_range(self):
         with pytest.raises(ValueError):
             FreqTile(Tile([1], [1]), 1.5)

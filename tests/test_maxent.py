@@ -10,7 +10,9 @@ from tiledive import (
     FreqTile,
     Tile,
     TileSet,
+    background_tiles,
     bernoulli_update,
+    density_tile,
     exact_fastpath,
     fit,
     margin_tiles,
@@ -261,6 +263,21 @@ class TestFitContracts:
             fit(ts, FitOptions(tolerance=1e-9))
         assert time.perf_counter() - start < 1.0
 
+    def test_unattainable_targets_past_the_settle_pass_raise_no_convergence(self):
+        # Column 2 carries mass 0.2 but its entry (2, 2) alone wants 0.9,
+        # so (1, 2) would need -0.7. Each target lies inside its own
+        # range, so nothing settles, and Newton's multipliers diverge
+        # while its line search halves the step.
+        ts = TileSet((2, 2), (
+            FreqTile(Tile([1, 2], [2]), 0.1),
+            FreqTile(Tile([2], [2]), 0.9),
+            FreqTile(Tile([1], [1, 2]), 0.25),
+        ))
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence):
+            fit(ts)
+        assert time.perf_counter() - start < 1.0
+
     def test_margin_background_memory_is_linear_in_entries(self):
         # Under a columns+rows background every entry is its own class,
         # so a dense tile-by-class incidence alone would take
@@ -288,17 +305,69 @@ class TestFitContracts:
         ts = random_annotated_set(rng, data, int(rng.integers(1, 7)))
         if margin is not None:
             ts = ts.union(margin_tiles(data, margin))
+        assert_meets_tiles_and_settles_only_forced(ts, fit(ts))
+
+
+class TestMaximumEntropy:
+    """By convex duality the maximum-entropy model is the member of the
+    exponential family that meets every tile frequency: on its free
+    entries, logit(p) is a sum of one multiplier per covering tile."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        background=st.sampled_from(["none", "density", "columns", "columns+rows"]),
+    )
+    def test_fit_is_the_maximum_entropy_model(self, seed, background):
+        rng = np.random.default_rng(seed)
+        n, m = (int(d) for d in rng.integers(10, 41, size=2))
+        data = random_dataset(rng, n, m, density=float(rng.uniform(0.1, 0.9)))
+        ts = random_annotated_set(rng, data, int(rng.integers(1, 7)))
+        ts = ts.union(background_tiles(background, data))
         model = fit(ts)
+        assert_meets_tiles_and_settles_only_forced(ts, model)
+        assert logit_residual(ts, model.p) <= 1e-8
+
+    def test_perturbed_model_meets_every_tile_but_is_not_maximum_entropy(self):
+        data = random_dataset(np.random.default_rng(3), 20, 20, density=0.3)
+        ts = make_set(data, Tile(range(1, 11), range(1, 11))).union(density_tile(data))
+        model = fit(ts)
+        assert logit_residual(ts, model.p) <= 1e-8
+        # (1, 1) and (2, 2) lie in the same tiles, so moving mass
+        # between them keeps every frequency
+        p = model.p.copy()
+        p[0, 0] += 0.05
+        p[1, 1] -= 0.05
         for ft in ts:
-            assert abs(model_frequency(ft.tile, model) - ft.alpha) <= 1e-6
-        # Only settled entries may be exactly 0 or 1. The settle pass
-        # settles every free entry of a tile whose target sits on its
-        # attainable boundary, exact tiles included, so each such entry
-        # lies in a tile the model makes wholly deterministic.
-        deterministic = (model.p == 0.0) | (model.p == 1.0)
-        settled = np.zeros(model.dims, dtype=bool)
-        for ft in ts:
-            block = ft.tile.block()
-            if deterministic[block].all():
-                settled[block] = True
-        assert not (deterministic & ~settled).any()
+            assert abs(float(p[ft.tile.block()].mean()) - ft.alpha) <= 1e-6
+        assert logit_residual(ts, p) > 1e-8
+
+
+def assert_meets_tiles_and_settles_only_forced(ts: TileSet, model) -> None:
+    for ft in ts:
+        assert abs(model_frequency(ft.tile, model) - ft.alpha) <= 1e-6
+    # Only settled entries may be exactly 0 or 1. The settle pass
+    # settles every free entry of a tile whose target sits on its
+    # attainable boundary, exact tiles included, so each such entry
+    # lies in a tile the model makes wholly deterministic.
+    deterministic = (model.p == 0.0) | (model.p == 1.0)
+    settled = np.zeros(model.dims, dtype=bool)
+    for ft in ts:
+        block = ft.tile.block()
+        if deterministic[block].all():
+            settled[block] = True
+    assert not (deterministic & ~settled).any()
+
+
+def logit_residual(ts: TileSet, p: np.ndarray) -> float:
+    """Worst residual of the least-squares fit of logit(p) on the tile
+    indicators, over entries not within 1e-9 of 0 or 1: `fit` clips
+    those, so their logit is not exact."""
+    inner = (p > 1e-9) & (p < 1.0 - 1e-9)
+    cover = np.zeros((len(ts), *p.shape))
+    for j, ft in enumerate(ts):
+        cover[j][ft.tile.block()] = 1.0
+    indicators = cover[:, inner].T
+    logit = np.log(p[inner]) - np.log1p(-p[inner])
+    coef, *_ = np.linalg.lstsq(indicators, logit, rcond=None)
+    return float(np.max(np.abs(indicators @ coef - logit), initial=0.0))

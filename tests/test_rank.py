@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
-import tiledive.rank
 from tiledive import (
     FreqTile,
     Tile,
     TileSet,
+    distance,
     exact_fastpath,
     fit,
     fitamin,
+    fruits,
     margin_tiles,
     surprise_score,
 )
-from tiledive.errors import InfiniteSurprise
+from tiledive.errors import ConsistencyError, InfiniteSurprise
 from tiledive.maxent import FitOptions
 
-from conftest import make_set, random_annotated_set, random_dataset
+from conftest import make_set, random_annotated_set, random_dataset, record_fits
 
 TIGHT = FitOptions(tolerance=1e-12)
 
@@ -127,17 +128,25 @@ class TestRankingContract:
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_full_model_is_fitted_once(self, toy_sets, monkeypatch, mode):
-        fitted = []
-        fit_or_fast = tiledive.rank._fit_or_fast
-
-        def spy(ts, opts):
-            fitted.append(set(ts.tiles))
-            return fit_or_fast(ts, opts)
-
-        monkeypatch.setattr(tiledive.rank, "_fit_or_fast", spy)
+        fits = record_fits(monkeypatch)
         r = fitamin(toy_sets["u"], toy_sets["b"], mode, TIGHT)
+        fitted = [set(ts.tiles) for ts in fits]
         assert fitted.count(set(toy_sets["u"].union(toy_sets["b"]).tiles)) == 1
         assert r.trace[-1] == 0.0
+
+    def test_inconsistent_joint_is_a_consistency_error(self):
+        # t and b give one tile two noisy frequencies: each set fits on
+        # its own, but their joint cannot, in any of the three APIs.
+        tile = Tile([1, 2], [1, 2])
+        t = TileSet((4, 4), (FreqTile(tile, 0.3),))
+        b = TileSet((4, 4), (FreqTile(tile, 0.7),))
+        with pytest.raises(ConsistencyError):
+            distance(t, t, b)
+        with pytest.raises(ConsistencyError):
+            fruits(t, t, b)
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(ConsistencyError):
+                fitamin(t, b, mode)
 
     def test_modes_agree_on_first_pick_without_background(self):
         rng = np.random.default_rng(73)
