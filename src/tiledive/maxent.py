@@ -6,12 +6,16 @@ model is just an n x m probability matrix. An entry's log-odds is the
 sum of one multiplier per noisy tile covering it, so the entries
 covered by the same set of noisy tiles -- an entry class -- share one
 probability. Fitting is one damped-Newton solve for the multipliers,
-with every sum taken over entry classes weighted by their size.
+with every sum taken over entry classes weighted by their size. Rows,
+or columns, that a swap maps onto the same tile set share their
+probabilities too, so the fit runs on a grid of such row and column
+groups: under a margin background, one per distinct margin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +80,121 @@ def model_frequency(tile: Tile, model: EntryModel) -> float:
     return float(model.p[tile.block()].mean())
 
 
-def _settle(ts: TileSet) -> tuple[np.ndarray, list, np.ndarray]:
-    """Settle the entries that exact tiles and boundary targets force.
+class _Fold(NamedTuple):
+    """A tile set on a grid of row groups x column groups.
+
+    A grid cell stands for |row group| * |column group| entries, which
+    share one probability. Each of `parts` is a tile of the grid, the
+    original tiles it stands for merged: its `np.ix_` pair on the grid,
+    the summed area of those tiles, their frequency, the index of the
+    first of them in the tile set, that tile, and their count. A part is
+    a plain tuple because the identity fold builds one per tile on every
+    exact fit, where a named tuple's constructor would cost 5%.
+    `groups` holds each row's group and each column's group, and
+    `sizes` the entries per row group and per column group; both are
+    None when the fold is the identity and each cell is one entry.
+    """
+
+    shape: tuple[int, int]
+    parts: list[tuple]
+    groups: tuple[np.ndarray, np.ndarray] | None = None
+    sizes: tuple[np.ndarray, np.ndarray] | None = None
+
+    def mass(self, sub: np.ndarray, block) -> float:
+        """Sum of `sub`, the grid's values on `block`, each cell weighted
+        by the entries it stands for."""
+        if self.sizes is None:
+            return float(sub.sum())
+        rows, cols = self.sizes
+        return float(rows[block[0][:, 0]] @ sub @ cols[block[1][0]])
+
+
+def _unfolded(ts: TileSet) -> _Fold:
+    return _Fold(ts.dims, [(ft.tile.block(), ft.tile.area, ft.alpha, j, ft.tile, 1)
+                           for j, ft in enumerate(ts.tiles)])
+
+
+def _line_groups(count: int, spans: list[np.ndarray], own: dict[int, list]) -> np.ndarray:
+    """Group `count` rows (or columns) by signature: the spans (0-based
+    lines of a tile with 2 or more of them, short of all) that hold the
+    line, and `own[line]`, the keys of the single-line tiles on it.
+    Returns each line's group. Each span splits every group it meets,
+    as in `_entry_classes`."""
+    label = np.zeros(count, dtype=np.intp)
+    signatures: dict[tuple, int] = {}
+    lines = np.fromiter(own, dtype=np.intp, count=len(own))
+    label[lines] = [signatures.setdefault(tuple(sorted(keys)), len(signatures) + 1)
+                    for keys in own.values()]
+    fresh = len(signatures) + 1
+    for span in spans:
+        old = label[span]
+        low = int(old.min())
+        touched = np.zeros(int(old.max()) - low + 1, dtype=bool)
+        touched[old - low] = True
+        label[span] = fresh + (np.cumsum(touched) - 1)[old - low]
+        fresh += int(np.count_nonzero(touched))
+    used = np.zeros(fresh, dtype=bool)
+    used[label] = True
+    return (np.cumsum(used) - 1)[label]
+
+
+def _fold(ts: TileSet) -> _Fold:
+    """Fold rows, and columns, that a swap maps onto the same tile set.
+
+    Two rows lie in the same group when the same tiles with 2 or more
+    rows hold them (tiles spanning every row aside) and their
+    single-row tiles agree in columns and frequency; columns likewise.
+    Swapping two such rows maps the tile set onto itself, so the unique
+    maximum-entropy model gives them equal probabilities: p is constant
+    on each cell of the group grid. Each tile covers whole cells, so it
+    becomes a rectangle of the grid, and single-line tiles with the
+    same rectangle and frequency merge into one tile whose area and
+    target are their sums. With no single-row and no single-column tile
+    nothing merges, and the entry classes already capture every other
+    symmetry, so the fold is the identity.
+    """
+    if not any(len(ft.tile.rows) == 1 or len(ft.tile.cols) == 1 for ft in ts.tiles):
+        return _unfolded(ts)
+
+    def side(ids, count, group_of=None):
+        # A tile's lines as a key: a single line by its group when given,
+        # and a tile spanning every line by None, which spares hashing
+        # the ids of every margin tile. Any other tile with 2 or more
+        # lines covers whole groups, so its ids name its grid lines.
+        if len(ids) == 1 and group_of is not None:
+            return int(group_of[ids[0] - 1])
+        return None if len(ids) == count else ids
+
+    groups = []
+    for axis, count in enumerate(ts.dims):
+        spans, own, keys = [], {}, {}
+        for ft in ts.tiles:
+            lines, other = (ft.tile.cols, ft.tile.rows) if axis else (ft.tile.rows, ft.tile.cols)
+            if len(lines) == 1:
+                key = keys.setdefault((side(other, ts.dims[1 - axis]), ft.alpha), len(keys))
+                own.setdefault(lines[0] - 1, []).append(key)
+            elif len(lines) < count:
+                spans.append(ft.tile.block()[axis].ravel())
+        groups.append(_line_groups(count, spans, own))
+    (row_of, col_of), (n, m) = groups, ts.dims
+    merged: dict[tuple, list] = {}
+    for j, ft in enumerate(ts.tiles):
+        key = side(ft.tile.rows, n, row_of), side(ft.tile.cols, m, col_of), ft.alpha
+        entry = merged.setdefault(key, [j, 0, 0])
+        entry[1] += ft.tile.area
+        entry[2] += 1
+    parts = []
+    for j, area, count in merged.values():
+        ft = ts.tiles[j]
+        grid = np.ix_(*(np.flatnonzero(np.bincount(group_of[index.ravel()]))
+                        for group_of, index in zip(groups, ft.tile.block())))
+        parts.append((grid, area, ft.alpha, j, ft.tile, count))
+    sizes = tuple(np.bincount(group_of).astype(float) for group_of in groups)
+    return _Fold((len(sizes[0]), len(sizes[1])), parts, tuple(groups), sizes)
+
+
+def _settle(fold: _Fold) -> tuple[np.ndarray, list, np.ndarray]:
+    """Settle the grid cells that exact tiles and boundary targets force.
 
     A tile's target mass lies between its settled mass and that plus
     its free-entry count. At the lower end every free entry must be 0,
@@ -89,36 +206,39 @@ def _settle(ts: TileSet) -> tuple[np.ndarray, list, np.ndarray]:
     InfeasibleTile for a noisy one, whatever the tile order. Free
     entries hold 1/2, their value in the closed form for exact tiles,
     and settled ones 0 or 1, so p alone tells them apart; a block's
-    settled mass is its sum less half its free count, exact since every
-    term is a multiple of 1/2. Returns (p, the tiles left open, the mass
-    their free entries must still carry).
+    settled mass is its weighted sum less half its free count, exact
+    since every term is a multiple of 1/2. The boundary slack is per
+    original tile, so a merged tile gets it once per tile it stands
+    for. Returns (p on the grid, the tiles left open, the mass their
+    free entries must still carry).
     """
-    p = np.full(ts.dims, 0.5)
-    still = sorted(range(len(ts.tiles)), key=lambda j: not ts.tiles[j].exact)
+    p = np.full(fold.shape, 0.5)
+    parts = fold.parts
+    still = sorted(range(len(parts)), key=lambda j: parts[j][2] not in (0.0, 1.0))
     changed = True
     while changed:
         changed = False
         tiles, still, rest = still, [], []
         for j in tiles:
-            ft, block = ts.tiles[j], ts.tiles[j].tile.block()
+            block, a, alpha, first, tile, count = parts[j]
             sub_p = p[block]
             free = sub_p == 0.5
-            a = ft.tile.area
-            nfree = int(np.count_nonzero(free))
-            settled = float(sub_p.sum()) - 0.5 * nfree
-            target = ft.alpha * a
-            if not settled - _BOUNDARY_EPS <= target <= settled + nfree + _BOUNDARY_EPS:
-                error = ConflictingExactTiles if ft.exact else InfeasibleTile
+            # counting a mask's cells takes a third of the time of its sum
+            nfree = int(np.count_nonzero(free)) if fold.sizes is None else fold.mass(free, block)
+            settled = fold.mass(sub_p, block) - 0.5 * nfree
+            target, eps = alpha * a, count * _BOUNDARY_EPS
+            if not settled - eps <= target <= settled + nfree + eps:
+                error = ConflictingExactTiles if alpha in (0.0, 1.0) else InfeasibleTile
                 raise error(
-                    f"tile #{j + 1} ({ft.tile}) wants frequency {ft.alpha} "
+                    f"tile #{first + 1} ({tile}) wants frequency {alpha} "
                     f"but settled entries restrict it to "
                     f"[{settled / a}, {(settled + nfree) / a}]"
                 )
             if nfree == 0:
                 continue  # settled entries decide this tile entirely
-            if target <= settled + _BOUNDARY_EPS:
+            if target <= settled + eps:
                 value = 0.0
-            elif target >= settled + nfree - _BOUNDARY_EPS:
+            elif target >= settled + nfree - eps:
                 value = 1.0
             else:
                 still.append(j)
@@ -129,22 +249,24 @@ def _settle(ts: TileSet) -> tuple[np.ndarray, list, np.ndarray]:
     return p, still, np.array(rest)
 
 
-def _entry_classes(cover: list[Tile], free: np.ndarray):
-    """Group the free entries by the set of tiles covering them.
+def _entry_classes(cover: list, free: np.ndarray, line_sizes=None):
+    """Group the free cells by the set of tiles covering them.
 
     Each tile splits every class it touches, so a class's label links
     back, one covering tile per link, through the labels it was split
     from. Walking those chains gives the sparse tile-by-class incidence
     and, for the k x k Hessian, every ordered pair of tiles sharing a
     class, in O(sum over classes of squared cover count) memory.
-    Returns each free entry's class (row-major), the class sizes, the
+    `cover` holds the tiles' index pairs; a cell weighs the product of
+    its row's and column's entry in `line_sizes`, or 1 when that is None.
+    Returns each free cell's class (row-major), the class sizes, the
     incidence (tiles, classes) and the pairs (flat k x k index, class).
-    Classes left without free entries are dropped.
+    Classes left without free cells are dropped.
     """
     label = np.zeros(free.shape, dtype=np.intp)  # label 0: covered by no tile
     parent, tile_of = [np.zeros(1, dtype=np.intp)], [np.full(1, -1)]
     count, k = 1, len(cover)
-    for j, block in enumerate(tile.block() for tile in cover):
+    for j, block in enumerate(cover):
         old = label[block]
         low = int(old.min())  # scan only the label range the tile meets
         touched = np.zeros(int(old.max()) - low + 1, dtype=bool)
@@ -155,7 +277,11 @@ def _entry_classes(cover: list[Tile], free: np.ndarray):
         tile_of.append(np.full(len(split), j))
         count += len(split)
     parent, tile_of = np.concatenate(parent), np.concatenate(tile_of)
-    sizes = np.bincount(label[free], minlength=count)
+    weights = None
+    if line_sizes is not None:
+        rows, cols = np.nonzero(free)
+        weights = line_sizes[0][rows] * line_sizes[1][cols]
+    sizes = np.bincount(label[free], weights, minlength=count)
     node = np.flatnonzero(sizes)  # each live class's label, walked up its chain
     cls = np.arange(len(node))
     none = np.zeros(0, dtype=np.intp)
@@ -188,27 +314,31 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     """Fit the factorized maximum-entropy model for a tile set.
 
-    Settles the entries that exact tiles and other targets on the
-    attainable boundary force to 0 or 1. The free entries left are
-    grouped into entry classes, and one damped Newton solve finds the
-    tile multipliers: a class's log-odds is the sum of the multipliers
-    of the tiles covering it. The dual objective -- sum over classes of
-    size times log(1 + e^log-odds), minus the multipliers dotted with
-    the targets -- is convex and smooth, and its gradient is each
-    tile's model mass minus its target. Free entries are kept strictly
-    inside (0, 1), so only settled entries are deterministic.
+    Folds interchangeable rows and columns into a grid of groups, then
+    settles the cells that exact tiles and other targets on the
+    attainable boundary force to 0 or 1. The free cells left are
+    grouped into entry classes, each weighing the entries it holds, and
+    one damped Newton solve finds the tile multipliers: a class's
+    log-odds is the sum of the multipliers of the tiles covering it.
+    The dual objective -- sum over classes of size times
+    log(1 + e^log-odds), minus the multipliers dotted with the targets
+    -- is convex and smooth, and its gradient is each tile's model mass
+    minus its target. Free entries are kept strictly inside (0, 1), so
+    only settled entries are deterministic. Each entry takes its cell's
+    probability at the end.
 
     Raises InfeasibleTile for an unattainable target, and NoConvergence
     when a tile ends further than `opts.tolerance` from its target.
     """
     # Only the tiles the settle pass leaves open enter the solve.
-    p, active, targets = _settle(ts)
+    fold = _fold(ts)
+    p, active, targets = _settle(fold)
     free = p == 0.5  # settled entries hold 0 or 1
     label, sizes, tiles, classes, pair_keys, pair_classes = _entry_classes(
-        [ts.tiles[j].tile for j in active], free
+        [fold.parts[j][0] for j in active], free, fold.sizes
     )
     k = len(active)
-    areas = np.array([ts.tiles[j].tile.area for j in active], dtype=float)
+    areas = np.array([fold.parts[j][1] for j in active], dtype=float)
 
     def class_log_odds(x):
         return np.bincount(classes, weights=x[tiles], minlength=len(sizes))
@@ -252,13 +382,15 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
 
     eps = np.finfo(float)
     p[free] = np.clip(_sigmoid(s), eps.tiny, 1.0 - eps.epsneg)[label]
-    residual = max((abs(float(p[ft.tile.block()].mean()) - ft.alpha) for ft in ts.tiles),
-                   default=0.0)
+    residual = max((abs(fold.mass(p[block], block) / area - alpha)
+                    for block, area, alpha, *_ in fold.parts), default=0.0)
     if residual > opts.tolerance:
         raise NoConvergence(
             f"residual {residual:.3g} > tolerance {opts.tolerance:.3g}; "
             f"the given frequencies appear mutually inconsistent"
         )
+    if fold.groups is not None:
+        p = p[np.ix_(*fold.groups)]  # each entry takes its cell's probability
     return EntryModel(dims=ts.dims, p=p, residual=residual)
 
 
@@ -267,5 +399,5 @@ def exact_fastpath(ts: TileSet) -> EntryModel:
     for ft in ts.tiles:
         if not ft.exact:
             raise NotExact(f"exact_fastpath requires exact tiles, got {ft}")
-    p, _, _ = _settle(ts)
+    p, _, _ = _settle(_unfolded(ts))
     return EntryModel(dims=ts.dims, p=p, residual=0.0)

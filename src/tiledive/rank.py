@@ -19,7 +19,12 @@ from .maxent import EntryModel, FitOptions, model_frequency
 
 @dataclass(frozen=True)
 class Ranking:
-    """Tile order with the per-step distance decrease on the [0, 2] scale."""
+    """Tile order with the per-step distance decrease on the [0, 2] scale.
+
+    `trace` holds the distance after each step. It ends at 0, except when
+    the tiles add nothing to the background: KL(M || B) is then 0, the
+    distance is 1 by `distance`'s convention, and every entry is 1.0.
+    """
 
     order: tuple[FreqTile, ...]
     gains: tuple[float, ...]
@@ -61,7 +66,10 @@ def fitamin(
 
     The distance from the ranked prefix to the full set starts at 1 and
     reaches 0 once every tile is ranked; gains are the per-step drops.
-    Ties resolve to input order.
+    When the tiles add nothing to the background, KL(M || B) = 0 and
+    `distance` defines every distance as 1: each trace entry is then
+    1.0 and each gain 0, as in `fitamin(bg, bg)`. Ties resolve to input
+    order.
     """
     if mode not in ("exact", "heuristic"):
         raise InputError(f"mode must be 'exact' or 'heuristic', got {mode!r}")

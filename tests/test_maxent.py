@@ -18,7 +18,7 @@ from tiledive import (
     margin_tiles,
     model_frequency,
 )
-from tiledive.maxent import FitOptions
+from tiledive.maxent import FitOptions, _fold
 from tiledive.errors import ConflictingExactTiles, InfeasibleTile, InputError, NoConvergence
 
 from conftest import make_set, random_annotated_set, random_dataset
@@ -255,6 +255,19 @@ class TestFitContracts:
         with pytest.raises(InfeasibleTile, match=r"Tile\(rows=\[1\], cols=\[1, 2\]\)"):
             fit(ts)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_errors_name_the_first_tile_of_a_merged_group(self, swap):
+        # rows 1 and 2 fold into one group, so their row tiles merge
+        # into one grid tile, which the error names by its first tile
+        ones = (FreqTile(Tile([1, 2], [1, 2]), 1.0),)
+        for alpha, error in ((0.5, InfeasibleTile), (0.0, ConflictingExactTiles)):
+            rows = [FreqTile(Tile([i], [1, 2]), alpha) for i in (1, 2)][::-1 if swap else 1]
+            ts = TileSet((3, 2), (*ones, *rows))
+            assert len(_fold(ts).parts) == 2
+            first = rf"tile #2 \(Tile\(rows=\[{rows[0].tile.rows[0]}\], cols=\[1, 2\]\)\)"
+            with pytest.raises(error, match=first):
+                fit(ts)
+
     def test_inconsistent_noisy_frequencies_raise_no_convergence(self):
         tile = Tile([1, 2], [1, 2])
         ts = TileSet((2, 2), (FreqTile(tile, 0.3), FreqTile(tile, 0.7)))
@@ -279,8 +292,8 @@ class TestFitContracts:
         assert time.perf_counter() - start < 1.0
 
     def test_margin_background_memory_is_linear_in_entries(self):
-        # Under a columns+rows background every entry is its own class,
-        # so a dense tile-by-class incidence alone would take
+        # Unfolded, a columns+rows background makes every entry its own
+        # class, so a dense tile-by-class incidence alone would take
         # 240 tiles x 14,400 entries x 8 B = 27.6 MB here.
         data = random_dataset(np.random.default_rng(0), 120, 120, density=0.3)
         ts = margin_tiles(data, "columns").union(margin_tiles(data, "rows"))
@@ -292,6 +305,20 @@ class TestFitContracts:
             tracemalloc.stop()
         assert model.residual <= 1e-6
         assert peak < 10 * 2**20
+
+    def test_folded_margin_fit_at_500_squared_stays_small(self):
+        # 54 distinct row sums and 55 distinct column sums: the fit runs
+        # on about 3,000 cells, and the 2 MB n x m output dominates.
+        data = random_dataset(np.random.default_rng(0), 500, 500, density=0.3)
+        ts = background_tiles("columns+rows", data)
+        tracemalloc.start()
+        try:
+            model = fit(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.residual <= 1e-6
+        assert peak < 5 * 2**20
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -316,7 +343,7 @@ class TestMaximumEntropy:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        background=st.sampled_from(["none", "density", "columns", "columns+rows"]),
+        background=st.sampled_from(["none", "density", "columns", "rows", "columns+rows"]),
     )
     def test_fit_is_the_maximum_entropy_model(self, seed, background):
         rng = np.random.default_rng(seed)
@@ -341,6 +368,54 @@ class TestMaximumEntropy:
         for ft in ts:
             assert abs(float(p[ft.tile.block()].mean()) - ft.alpha) <= 1e-6
         assert logit_residual(ts, p) > 1e-8
+
+
+class TestFold:
+    """Rows, or columns, that a swap maps onto the same tile set share
+    their probabilities, so the fit runs on a grid of line groups."""
+
+    def test_no_single_line_tile_folds_to_the_identity(self):
+        rng = np.random.default_rng(12)
+        data = random_dataset(rng, 12, 9)
+        tiles = [Tile(rng.choice(np.arange(1, 13), 3, replace=False), range(1, 10)),
+                 Tile(range(1, 13), [2, 5]), Tile([1, 2], [1, 2, 3])]
+        ts = make_set(data, *tiles).union(density_tile(data))
+        fold = _fold(ts)
+        assert fold.groups is None and fold.shape == ts.dims
+        assert [part[0] for part in fold.parts] == [ft.tile.block() for ft in ts]
+
+    def test_margin_groups_are_the_distinct_sums(self):
+        data = random_dataset(np.random.default_rng(0), 500, 500, density=0.3)
+        fold = _fold(background_tiles("columns+rows", data))
+        row_of, col_of = fold.groups
+        for group_of, sums in ((row_of, data.entries.sum(axis=1)),
+                               (col_of, data.entries.sum(axis=0))):
+            # as many groups as distinct sums, and as many (group, sum)
+            # pairs: one group per sum
+            pairs = {(int(g), int(s)) for g, s in zip(group_of, sums)}
+            assert group_of.max() + 1 == len(np.unique(sums)) == len(pairs)
+        assert len(fold.parts) == sum(fold.shape)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        background=st.sampled_from(["none", "density", "columns", "rows", "columns+rows"]),
+    )
+    def test_permuting_rows_and_columns_permutes_the_model(self, seed, background):
+        rng = np.random.default_rng(seed)
+        n, m = (int(d) for d in rng.integers(5, 31, size=2))
+        data = random_dataset(rng, n, m, density=float(rng.uniform(0.1, 0.9)))
+        ts = random_annotated_set(rng, data, int(rng.integers(0, 5)))
+        ts = ts.union(background_tiles(background, data))
+        # new row i holds old row row_perm[i]; columns alike
+        row_perm, col_perm = rng.permutation(n), rng.permutation(m)
+        new_row, new_col = np.argsort(row_perm) + 1, np.argsort(col_perm) + 1
+        moved = TileSet(ts.dims, tuple(
+            FreqTile(Tile(new_row[np.array(ft.tile.rows) - 1], new_col[np.array(ft.tile.cols) - 1]),
+                     ft.alpha)
+            for ft in ts))
+        np.testing.assert_allclose(fit(moved).p, fit(ts).p[np.ix_(row_perm, col_perm)],
+                                   rtol=0, atol=1e-12)
 
 
 def assert_meets_tiles_and_settles_only_forced(ts: TileSet, model) -> None:

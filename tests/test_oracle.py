@@ -15,10 +15,11 @@ from tiledive import (
     FreqTile,
     Tile,
     TileSet,
+    background_tiles,
     fit,
     kl,
 )
-from tiledive.maxent import FitOptions
+from tiledive.maxent import FitOptions, _fold
 
 from conftest import make_set, random_annotated_set, random_dataset
 from oracle import JointDistribution, SizeLimit, entropy, ipf_maxent, joint_kl
@@ -121,3 +122,38 @@ class TestDerivedGoldens:
         assert kl(fit(cols, TIGHT), fit(empty, TIGHT)) == pytest.approx(
             oracle_value, abs=1e-6
         )
+
+
+class TestFoldedFits:
+    """Fits whose rows or columns fold into groups, and whose margin
+    tiles merge, against the brute-force joint."""
+
+    # rows 1 and 2 have equal sums, as have columns 1 and 2; row 4 and
+    # column 4 are all zeros
+    REPEATED = BinaryDataset([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+
+    @pytest.mark.parametrize("background", ["rows", "columns", "columns+rows"])
+    def test_margin_fit_matches_the_oracle(self, background):
+        ts = background_tiles(background, self.REPEATED)
+        assert len(_fold(ts).parts) < len(ts)
+        np.testing.assert_allclose(fit(ts, TIGHT).p, ipf_maxent(ts).entry_marginals(),
+                                   rtol=0, atol=1e-9)
+
+    def test_merged_single_entry_tiles_match_the_oracle(self):
+        # four single-entry tiles at one frequency fold rows 1-2 and
+        # columns 1-2 into one cell, which they fill as one merged tile
+        cells = TileSet((4, 4), tuple(FreqTile(Tile([i], [j]), 0.25)
+                                      for i in (1, 2) for j in (1, 2)))
+        ts = cells.union(make_set(self.REPEATED, Tile([1, 2, 3], [1, 2, 3])))
+        assert len(_fold(ts).parts) == 2
+        np.testing.assert_allclose(fit(ts, TIGHT).p, ipf_maxent(ts).entry_marginals(),
+                                   rtol=0, atol=1e-9)
+
+    def test_random_folded_fits_match_the_oracle(self):
+        rng = np.random.default_rng(45)
+        for _ in range(6):
+            data = random_dataset(rng, 4, 4)
+            ts = random_annotated_set(rng, data, 1).union(
+                background_tiles("columns+rows", data))
+            np.testing.assert_allclose(fit(ts, TIGHT).p, ipf_maxent(ts).entry_marginals(),
+                                       rtol=0, atol=1e-9)

@@ -5,6 +5,7 @@ from tiledive import (
     FreqTile,
     Tile,
     TileSet,
+    density_tile,
     distance,
     exact_fastpath,
     fit,
@@ -125,6 +126,13 @@ class TestRankingContract:
         assert sorted(map(id, r.order)) == sorted(map(id, margins.tiles))
         assert r.trace == (1.0,) * len(margins)
         assert r.gains == (0.0,) * len(margins)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_background_ranked_against_itself_stays_at_distance_one(self, toy_data, mode):
+        bg = density_tile(toy_data)
+        r = fitamin(bg, bg, mode, TIGHT)
+        assert r.trace == (1.0,)
+        assert r.gains == (0.0,)
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_full_model_is_fitted_once(self, toy_sets, monkeypatch, mode):
