@@ -1,8 +1,14 @@
-"""Reading and writing the package's input files.
+r"""Reading and writing the package's input files.
 
+Every input file is UTF-8 text; a byte that is not is an input error
+that names its line.
 Dataset file: first line "n m", then n lines, line i listing the
-1-based column ids where row i has a 1 (space-separated, empty line
-for an all-zero row); only blank lines may follow the n rows.
+1-based column ids where row i has a 1, separated by spaces or tabs
+(empty line for an all-zero row); only blank lines may follow the n
+rows. A line ends at "\n", with an optional "\r" before it. Other
+characters that `str.splitlines` breaks at ("\v", "\f", "\x1c" to
+"\x1e", "\x85", U+2028, U+2029), and a lone "\r", are whitespace
+inside a line, as for `str.split`.
 Tile-set file: one JSON object per line,
 {"rows": [...], "cols": [...], "freq": 0.5}; "freq" is an optional JSON
 number, and "rows" and "cols" are JSON arrays of integer ids.
@@ -64,11 +70,26 @@ def _check_id(kind: str, i: int, upper: int) -> int:
     return i
 
 
+_NEWLINE = ord("\n")
+# Row bytes by class: a digit maps to its value, a space, tab, "\r" or
+# "\n" to _SEP, and any other byte to _OTHER.
+_SEP, _OTHER = 10, 11
+_ROW_CLASSES = bytes(
+    b - 48 if 48 <= b <= 57 else _SEP if b in b" \t\r\n" else _OTHER for b in range(256)
+)
+# A longer id could overflow int32, so its row is parsed line by line.
+_MAX_DIGITS = 9
+
+
 def read_dataset(path) -> BinaryDataset:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    raw = Path(path).read_bytes()
+    if not raw:
         raise InputFormatError(f"{path}: empty dataset file")
-    header = lines[0].split()
+    # Line i ends at ends[i], its "\n" or the end of the file.
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == _NEWLINE)
+    if raw[-1] != _NEWLINE:
+        ends = np.append(ends, len(raw))
+    header = _line(raw, ends, 0, path).split()
     if len(header) != 2:
         raise InputFormatError(f"{path}:1: expected header 'n m'")
     try:
@@ -77,30 +98,90 @@ def read_dataset(path) -> BinaryDataset:
         raise InputFormatError(f"{path}:1: expected header 'n m'") from exc
     if n < 1 or m < 1:
         raise InputFormatError(f"{path}:1: dims must be positive")
-    if len(lines) < n + 1:
-        raise InputFormatError(f"{path}: expected {n} row lines, got {len(lines) - 1}")
-    for lineno, line in enumerate(lines[n + 1:], start=n + 2):
-        if line.strip():
-            raise InputFormatError(f"{path}:{lineno}: line after the {n} row lines")
-    rows: list[int] = []
-    cols: list[int] = []
-    for i in range(n):
-        tokens = lines[i + 1].split()
-        try:
-            try:
-                ids = list(map(int, tokens))
-            except ValueError:  # an "a-b" range, or a malformed id
-                ids = _expand_ids(tokens, m)
-            if ids and (min(ids) < 1 or max(ids) > m):
-                for j in ids:
-                    _check_id("column", j, m)
-        except InputFormatError as exc:
-            raise InputFormatError(f"{path}:{i + 2}: {exc}") from exc
-        rows += [i] * len(ids)
-        cols += ids
+    if len(ends) < n + 1:
+        raise InputFormatError(f"{path}: expected {n} row lines, got {len(ends) - 1}")
+    for i in range(n + 1, len(ends)):
+        if _line(raw, ends, i, path).strip():
+            raise InputFormatError(f"{path}:{i + 1}: line after the {n} row lines")
+    ones = _row_ones(raw, ends, n, m, path)
+    del raw, ends  # freed before the n x m matrix is allocated
     entries = np.zeros((n, m), dtype=np.uint8)
-    entries[rows, np.array(cols, dtype=np.intp) - 1] = 1
+    entries.reshape(-1)[ones] = 1
+    del ones
     return BinaryDataset(entries)
+
+
+def _utf8(raw: bytes, path, lineno: int) -> str:
+    """`raw`, which starts on line `lineno` of `path`, as UTF-8 text."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = lineno + raw.count(b"\n", 0, exc.start)
+        raise InputFormatError(f"{path}:{at}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _line(raw: bytes, ends: np.ndarray, i: int, path) -> str:
+    r"""Line i (0-based) of a dataset file, without its "\n"."""
+    return _utf8(raw[int(ends[i - 1]) + 1 if i else 0:int(ends[i])], path, i + 1)
+
+
+def _row_ones(raw: bytes, ends: np.ndarray, n: int, m: int, path) -> np.ndarray:
+    r"""Flat indices into the n x m matrix of the ones that lines 1..n list.
+
+    Every maximal run of ASCII digits is one id, valued digit position by
+    digit position over all ids at once. A row holding a byte other than
+    a digit, space, tab or "\r", an id of more than `_MAX_DIGITS` digits
+    or an id outside [1, m] is parsed line by line instead, in file
+    order, so its error names the first bad line.
+    """
+    base, stop = int(ends[0]) + 1, int(ends[n])
+    classes = raw.translate(_ROW_CLASSES)
+    body = np.frombuffer(classes, dtype=np.uint8, count=stop - base, offset=base)
+    row_ends = ends[1:n] - base  # the "\n" closing each row but the last
+    digit = np.zeros(len(body) + 2, dtype=bool)
+    np.less(body, _SEP, out=digit[1:-1])
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
+    first, past = edges[0::2], edges[1::2]  # id i spans body[first[i]:past[i]]
+    width = np.minimum(past - first, _MAX_DIGITS + 1).astype(np.int8)
+    per_row = np.diff(np.searchsorted(first, row_ends), prepend=0, append=len(first))
+    row = np.repeat(np.arange(n, dtype=np.intp), per_row)
+    value = np.zeros(len(first), dtype=np.int32)
+    for k in range(min(int(width.max(initial=0)), _MAX_DIGITS)):
+        # A read at past - 1 - k where k >= width lands before the id and
+        # is masked out.
+        value += np.where(width > k, body[past - 1 - k], 0).astype(np.int32) * 10**k
+    del edges, first, past
+
+    bad = np.zeros(n, dtype=bool)
+    bad[row[(width > _MAX_DIGITS) | (value < 1) | (value > m)]] = True
+    if classes.find(bytes([_OTHER]), base, stop) >= 0:
+        bad[np.searchsorted(row_ends, np.flatnonzero(body == _OTHER))] = True
+    del width, body, classes
+    slow = np.flatnonzero(bad).tolist()
+    if slow:
+        slow_rows: list[int] = []
+        slow_cols: list[int] = []
+        for i in slow:
+            tokens = _line(raw, ends, i + 1, path).split()
+            try:
+                try:
+                    ids = list(map(int, tokens))
+                except ValueError:  # an "a-b" range, or a malformed id
+                    ids = _expand_ids(tokens, m)
+                if ids and (min(ids) < 1 or max(ids) > m):
+                    for j in ids:
+                        _check_id("column", j, m)
+            except InputFormatError as exc:
+                raise InputFormatError(f"{path}:{i + 2}: {exc}") from exc
+            slow_rows += [i] * len(ids)
+            slow_cols += ids
+        keep = ~bad[row]
+        row = np.concatenate((row[keep], np.array(slow_rows, dtype=np.intp)))
+        value = np.concatenate((value[keep], np.array(slow_cols, dtype=np.intp)))
+    row *= m
+    row += value - 1
+    return row
 
 
 def write_dataset(data: BinaryDataset, path) -> None:
@@ -114,7 +195,7 @@ def write_dataset(data: BinaryDataset, path) -> None:
 def _parse_lines(path, parse) -> list:
     """`parse` applied to each non-blank line; a failure names `path:line`."""
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_utf8(Path(path).read_bytes(), path, 1).splitlines(), start=1):
         if line.strip():
             # A malformed value can surface as a TypeError too, e.g.
             # from "rows": 1 or "freq": null in a tile-set line.

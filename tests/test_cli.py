@@ -278,6 +278,17 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"{name}:2: " in result.output
 
+    @pytest.mark.parametrize("option, name, text", [
+        ("--data", "bad.txt", b"2 3\n1 \xff2\n3\n"),
+        ("--left", "bad.tiles", b'{"rows": [1], "cols": [1]}\n{"rows": [\xff1], "cols": [1]}\n'),
+    ], ids=["data", "left"])
+    def test_non_utf8_file_is_input_error(self, runner, workdir, option, name, text):
+        (workdir / name).write_bytes(text)
+        args = {"--data": "data.txt", "--left": "t.tiles", "--right": "u.tiles", option: name}
+        result = runner.invoke(main, ["distance", *(x for pair in args.items() for x in pair)])
+        assert result.exit_code == 2
+        assert f"{name}:2: not UTF-8 text" in result.output
+
     def test_clustering_row_listed_twice_is_input_error(self, runner, workdir):
         (workdir / "labels.txt").write_text("1 1\n2 1\n3 2\n1 2\n")
         result = runner.invoke(main, ["convert", "clustering", "labels.txt", "--data", "data.txt"])

@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tiledive import (
     write_tileset,
 )
 from tiledive.errors import InputFormatError
-from tiledive.io import read_clustering, read_itemsets
+from tiledive.io import _check_id, _expand_ids, read_clustering, read_itemsets
 
 from conftest import TOY_ROWS, make_set
 
@@ -181,30 +182,135 @@ def test_random_round_trips(tmp_path_factory, data):
     assert read_dataset(path) == data
 
 
+def reference_read_dataset(path) -> BinaryDataset:
+    """The dataset reader as a per-line loop, before it was vectorized."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise InputFormatError(f"{path}: empty dataset file")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise InputFormatError(f"{path}:1: expected header 'n m'")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise InputFormatError(f"{path}:1: expected header 'n m'") from exc
+    if n < 1 or m < 1:
+        raise InputFormatError(f"{path}:1: dims must be positive")
+    if len(lines) < n + 1:
+        raise InputFormatError(f"{path}: expected {n} row lines, got {len(lines) - 1}")
+    for lineno, line in enumerate(lines[n + 1:], start=n + 2):
+        if line.strip():
+            raise InputFormatError(f"{path}:{lineno}: line after the {n} row lines")
+    rows: list[int] = []
+    cols: list[int] = []
+    for i in range(n):
+        tokens = lines[i + 1].split()
+        try:
+            try:
+                ids = list(map(int, tokens))
+            except ValueError:  # an "a-b" range, or a malformed id
+                ids = _expand_ids(tokens, m)
+            if ids and (min(ids) < 1 or max(ids) > m):
+                for j in ids:
+                    _check_id("column", j, m)
+        except InputFormatError as exc:
+            raise InputFormatError(f"{path}:{i + 2}: {exc}") from exc
+        rows += [i] * len(ids)
+        cols += ids
+    entries = np.zeros((n, m), dtype=np.uint8)
+    entries[rows, np.array(cols, dtype=np.intp) - 1] = 1
+    return BinaryDataset(entries)
+
+
+# Each makes any row it is put in malformed or out of range, for m <= 9.
+BAD_TOKENS = ["0", "10", "12345678901", "x", "1-", "-3", "3-2", "1-10"]
+
+
 @st.composite
 def dataset_lines(draw):
-    """A 0/1 matrix and its dataset file, each row's ones written as a
-    shuffled mix of plain ids and "a-b" runs, possibly overlapping."""
+    r"""A dataset file, and its 0/1 matrix or None when the file is
+    malformed.
+
+    Each row's ones are written as a shuffled mix of plain ids and "a-b"
+    runs, possibly overlapping, separated by spaces or tabs. Some ids
+    have leading zeros (up to 11 digits), a "0_" prefix or a "+" sign:
+    valid for `int`, but not plain digit runs. Lines end in "\n" or
+    "\r\n"; rows may be blank or padded with whitespace, and blank
+    lines may follow the last row. Some files get one token from
+    BAD_TOKENS in a random row."""
     n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    gaps = st.sampled_from([" ", "\t", "  ", " \t"])
+    zeros = st.sampled_from(["", "", "", "0", "00", "0_", "0000000000"])
     entries = np.zeros((n, m), dtype=np.uint8)
-    lines = [f"{n} {m}"]
+    rows = []
     for i in range(n):
         tokens = []
         for lo, span in draw(st.lists(st.tuples(st.integers(1, m), st.integers(0, m - 1)), max_size=4)):
             hi = min(lo + span, m)
             entries[i, lo - 1:hi] = 1
-            tokens.append(str(lo) if lo == hi and draw(st.booleans()) else f"{lo}-{hi}")
-        lines.append(" ".join(draw(st.permutations(tokens))))
-    return entries, "\n".join(lines) + "\n"
+            if lo == hi and draw(st.booleans()):
+                tokens.append(draw(st.sampled_from(["", "+"])) + draw(zeros) + str(lo))
+            else:
+                tokens.append(f"{draw(zeros)}{lo}-{draw(zeros)}{hi}")
+        rows.append(draw(st.permutations(tokens)))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(BAD_TOKENS)))
+        entries = None
+    lines = [f"{n} {m}"]
+    for tokens in rows:
+        line = tokens[0] + "".join(draw(gaps) + tok for tok in tokens[1:]) if tokens else ""
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "])))
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    # Without its line end, an empty last line would not be a line.
+    return entries, eol.join(lines) + (draw(st.sampled_from([eol, ""])) if lines[-1] else eol)
 
 
-@settings(max_examples=50, deadline=None)
+def _outcome(read, path):
+    """The entries `read` returns, or the message of the InputFormatError it raises."""
+    try:
+        return read(path).entries.tolist()
+    except InputFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
 @given(case=dataset_lines())
 def test_dataset_ids_and_ranges_property(tmp_path_factory, case):
     entries, text = case
     path = tmp_path_factory.mktemp("io") / "d.db"
-    path.write_text(text)
-    assert read_dataset(path).entries.tolist() == entries.tolist()
+    path.write_bytes(text.encode())
+    got = _outcome(read_dataset, path)
+    assert got == _outcome(reference_read_dataset, path)
+    if entries is None:
+        assert isinstance(got, str)
+    else:
+        assert got == entries.tolist()
+
+
+# A row line ends only at "\n" (with an optional "\r" before it); the
+# other line breaks of str.splitlines separate ids inside the row.
+@pytest.mark.parametrize("space", ["\f", "\v", "\x1c", "\x85", "\u2028", "\r"], ids=[
+    "form-feed", "vertical-tab", "file-separator", "next-line", "line-separator", "lone-cr",
+])
+def test_dataset_splitlines_breaks_are_whitespace_in_a_row(tmp_path, space):
+    path = tmp_path / "d.db"
+    path.write_bytes(f"2 3\n1{space}3\r\n2\n".encode())
+    assert read_dataset(path).entries.tolist() == [[1, 0, 1], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("d.db", b"2 3\n1 \xff2\n3\n", r"d\.db:2: not UTF-8 text"),
+    ("d.db", b"2 3\n1\n3\n\n\xe9\n", r"d\.db:5: not UTF-8 text"),
+    ("t.tiles", b'{"rows": [1], "cols": [1]}\n\n{"rows": [\xff1], "cols": [1]}\n',
+     r"t\.tiles:3: not UTF-8 text"),
+], ids=["dataset-row", "dataset-trailing-line", "tileset"])
+def test_non_utf8_byte_names_line(tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_bytes(text)
+    with pytest.raises(InputFormatError, match=where):
+        read_dataset(path) if name == "d.db" else read_tileset(path, BinaryDataset(np.zeros((5, 5))))
 
 
 def _no_exact_clash(tiles) -> bool:
