@@ -16,7 +16,7 @@ from .errors import ConflictingExactTiles, DimMismatch, InputError, OutOfBounds
 
 def _as_id_tuple(ids, what: str) -> tuple[int, ...]:
     """Normalize an id collection to a sorted duplicate-free tuple of positive ids."""
-    out = tuple(sorted(set(int(i) for i in ids)))
+    out = tuple(sorted(set(map(int, ids))))
     if not out:
         raise InputError(f"{what} id set must be nonempty")
     if out[0] < 1:
@@ -31,7 +31,13 @@ class BinaryDataset:
         arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InputError("dataset must be a non-empty 2-d matrix")
-        if not ((arr == 0) | (arr == 1)).all():
+        if arr.dtype.kind in "biu":
+            # a range check builds no n x m temporaries; only signed
+            # integers can fall below 0
+            valid = arr.max() <= 1 and (arr.dtype.kind != "i" or arr.min() >= 0)
+        else:
+            valid = ((arr == 0) | (arr == 1)).all()
+        if not valid:
             raise InputError("dataset entries must be 0 or 1")
         self._entries = arr.astype(np.uint8)
         self._entries.setflags(write=False)

@@ -210,9 +210,10 @@ def _json_ids(obj: dict, key: str, upper: int) -> list[int]:
     """The ids of a tile-set line's "rows" or "cols" array; no range
     may run past `upper`."""
     ids = obj[key]
-    if not isinstance(ids, list) or any(isinstance(i, bool) or not isinstance(i, (int, str)) for i in ids):
+    # JSON gives every integer as an int, and true and false as bools
+    if not isinstance(ids, list) or not (kinds := set(map(type, ids))) <= {int, str}:
         raise InputFormatError(f"{key!r} must be an array of integer ids and \"a-b\" ranges")
-    return _expand_ids(ids, upper)
+    return ids if kinds <= {int} else _expand_ids(ids, upper)
 
 
 def read_tileset(path, data: BinaryDataset) -> TileSet:

@@ -85,11 +85,14 @@ class _Fold(NamedTuple):
 
     A grid cell stands for |row group| * |column group| entries, which
     share one probability. Each of `parts` is a tile of the grid, the
-    original tiles it stands for merged: its `np.ix_` pair on the grid,
-    the summed area of those tiles, their frequency, the index of the
-    first of them in the tile set, that tile, and their count. A part is
-    a plain tuple because the identity fold builds one per tile on every
-    exact fit, where a named tuple's constructor would cost 5%.
+    original tiles it stands for merged: its index pair on the grid (an
+    `np.ix_` pair, or a slice or an index array per side), the summed
+    area of those tiles, their frequency, the index of the first of
+    them in the tile set, that tile, their count, and the entries each
+    of its cells stands for, a block the shape of its cells (None when
+    the fold is the identity). A part is a plain tuple because the
+    identity fold builds one per tile on every exact fit, where a named
+    tuple's constructor would cost 5%.
     `groups` holds each row's group and each column's group, and
     `sizes` the entries per row group and per column group; both are
     None when the fold is the identity and each cell is one entry.
@@ -100,17 +103,15 @@ class _Fold(NamedTuple):
     groups: tuple[np.ndarray, np.ndarray] | None = None
     sizes: tuple[np.ndarray, np.ndarray] | None = None
 
-    def mass(self, sub: np.ndarray, block) -> float:
-        """Sum of `sub`, the grid's values on `block`, each cell weighted
-        by the entries it stands for."""
-        if self.sizes is None:
-            return float(sub.sum())
-        rows, cols = self.sizes
-        return float(rows[block[0][:, 0]] @ sub @ cols[block[1][0]])
+
+def _mass(sub: np.ndarray, weight) -> float:
+    """Sum of `sub`, a part's grid values, each cell weighted by its
+    entry of `weight`, the part's weight block (None: one entry each)."""
+    return float(sub.sum() if weight is None else np.vdot(sub, weight))
 
 
 def _unfolded(ts: TileSet) -> _Fold:
-    return _Fold(ts.dims, [(ft.tile.block(), ft.tile.area, ft.alpha, j, ft.tile, 1)
+    return _Fold(ts.dims, [(ft.tile.block(), ft.tile.area, ft.alpha, j, ft.tile, 1, None)
                            for j, ft in enumerate(ts.tiles)])
 
 
@@ -155,42 +156,71 @@ def _fold(ts: TileSet) -> _Fold:
     """
     if not any(len(ft.tile.rows) == 1 or len(ft.tile.cols) == 1 for ft in ts.tiles):
         return _unfolded(ts)
-
-    def side(ids, count, group_of=None):
-        # A tile's lines as a key: a single line by its group when given,
-        # and a tile spanning every line by None, which spares hashing
-        # the ids of every margin tile. Any other tile with 2 or more
-        # lines covers whole groups, so its ids name its grid lines.
-        if len(ids) == 1 and group_of is not None:
-            return int(group_of[ids[0] - 1])
-        return None if len(ids) == count else ids
-
-    groups = []
-    for axis, count in enumerate(ts.dims):
-        spans, own, keys = [], {}, {}
-        for ft in ts.tiles:
-            lines, other = (ft.tile.cols, ft.tile.rows) if axis else (ft.tile.rows, ft.tile.cols)
-            if len(lines) == 1:
-                key = keys.setdefault((side(other, ts.dims[1 - axis]), ft.alpha), len(keys))
-                own.setdefault(lines[0] - 1, []).append(key)
-            elif len(lines) < count:
-                spans.append(ft.tile.block()[axis].ravel())
-        groups.append(_line_groups(count, spans, own))
-    (row_of, col_of), (n, m) = groups, ts.dims
-    merged: dict[tuple, list] = {}
-    for j, ft in enumerate(ts.tiles):
-        key = side(ft.tile.rows, n, row_of), side(ft.tile.cols, m, col_of), ft.alpha
-        entry = merged.setdefault(key, [j, 0, 0])
-        entry[1] += ft.tile.area
-        entry[2] += 1
-    parts = []
-    for j, area, count in merged.values():
-        ft = ts.tiles[j]
-        grid = np.ix_(*(np.flatnonzero(np.bincount(group_of[index.ravel()]))
-                        for group_of, index in zip(groups, ft.tile.block())))
-        parts.append((grid, area, ft.alpha, j, ft.tile, count))
+    (n, m), tiles = ts.dims, ts.tiles
+    # One pass over the tiles. A side's key is its ids, or None when it
+    # spans every line, which spares hashing the ids of every margin
+    # tile; a side of 2 or more lines covers whole groups, so its ids
+    # name its grid lines. A single line's signature gets the other
+    # side's key and the frequency, numbered in one table for both
+    # axes, as keys are only compared within an axis. In the tile's
+    # shape a single line is -1: its group joins the merge key once the
+    # groups are known.
+    spans: tuple[list, list] = ([], [])
+    own: tuple[dict, dict] = ({}, {})
+    keys: dict[tuple, int] = {}
+    single, shape_of, areas = [], [], []
+    for ft in tiles:
+        tile, alpha = ft.tile, ft.alpha
+        rows, cols = tile.rows, tile.cols
+        nr, nc = len(rows), len(cols)
+        row_key = None if nr == n else rows
+        col_key = None if nc == m else cols
+        if nr == 1:
+            own[0].setdefault(rows[0] - 1, []).append(keys.setdefault((col_key, alpha), len(keys)))
+        elif row_key is not None:
+            spans[0].append(tile.block()[0].ravel())
+        if nc == 1:
+            own[1].setdefault(cols[0] - 1, []).append(keys.setdefault((row_key, alpha), len(keys)))
+        elif col_key is not None:
+            spans[1].append(tile.block()[1].ravel())
+        single.append((rows[0] - 1 if nr == 1 else -1, cols[0] - 1 if nc == 1 else -1))
+        shape_of.append((-1 if nr == 1 else row_key, -1 if nc == 1 else col_key, alpha))
+        areas.append(nr * nc)
+    groups = (_line_groups(n, spans[0], own[0]), _line_groups(m, spans[1], own[1]))
     sizes = tuple(np.bincount(group_of).astype(float) for group_of in groups)
-    return _Fold((len(sizes[0]), len(sizes[1])), parts, tuple(groups), sizes)
+    shape = (len(sizes[0]), len(sizes[1]))
+
+    # Tiles merge when their shapes and their single lines' groups
+    # agree. Parts are numbered as their first tiles come, so a part's
+    # first tile is where the running maximum of the numbers rises.
+    grid_line = [np.where(line < 0, -1, group_of[line]).tolist()
+                 for group_of, line in zip(groups, np.array(single).T)]
+    numbers: dict[tuple, int] = {}
+    part_of = [numbers.setdefault(key, len(numbers)) for key in zip(shape_of, *grid_line)]
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(part_of), prepend=-1))
+    merged = zip(first.tolist(), np.bincount(part_of, weights=areas).tolist(),
+                 np.bincount(part_of).tolist())
+
+    # A part's grid lines on each side: a single line is its own group,
+    # a side spanning every line takes all groups, and any other side
+    # the groups its lines fall in. A side given as a slice makes the
+    # part's values a view of the grid.
+    def lines(axis: int, j: int, tile: Tile):
+        count = len(tile.cols if axis else tile.rows)
+        if count == 1:
+            return slice(grid_line[axis][j], grid_line[axis][j] + 1)
+        if count == ts.dims[axis]:
+            return slice(None)
+        return np.flatnonzero(np.bincount(groups[axis][tile.block()[axis].ravel()]))
+
+    parts = []
+    for j, area, count in merged:
+        ft = tiles[j]
+        rows, cols = lines(0, j, ft.tile), lines(1, j, ft.tile)
+        arrays = isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray)
+        parts.append((np.ix_(rows, cols) if arrays else (rows, cols), area, ft.alpha, j,
+                      ft.tile, count, sizes[0][rows, None] * sizes[1][cols]))
+    return _Fold(shape, parts, groups, sizes)
 
 
 def _settle(fold: _Fold) -> tuple[np.ndarray, list, np.ndarray]:
@@ -220,12 +250,12 @@ def _settle(fold: _Fold) -> tuple[np.ndarray, list, np.ndarray]:
         changed = False
         tiles, still, rest = still, [], []
         for j in tiles:
-            block, a, alpha, first, tile, count = parts[j]
+            block, a, alpha, first, tile, count, weight = parts[j]
             sub_p = p[block]
             free = sub_p == 0.5
             # counting a mask's cells takes a third of the time of its sum
-            nfree = int(np.count_nonzero(free)) if fold.sizes is None else fold.mass(free, block)
-            settled = fold.mass(sub_p, block) - 0.5 * nfree
+            nfree = int(np.count_nonzero(free)) if weight is None else _mass(free, weight)
+            settled = _mass(sub_p, weight) - 0.5 * nfree
             target, eps = alpha * a, count * _BOUNDARY_EPS
             if not settled - eps <= target <= settled + nfree + eps:
                 error = ConflictingExactTiles if alpha in (0.0, 1.0) else InfeasibleTile
@@ -264,19 +294,19 @@ def _entry_classes(cover: list, free: np.ndarray, line_sizes=None):
     Classes left without free cells are dropped.
     """
     label = np.zeros(free.shape, dtype=np.intp)  # label 0: covered by no tile
-    parent, tile_of = [np.zeros(1, dtype=np.intp)], [np.full(1, -1)]
+    parent = [np.zeros(1, dtype=np.intp)]
     count, k = 1, len(cover)
-    for j, block in enumerate(cover):
+    for block in cover:
         old = label[block]
         low = int(old.min())  # scan only the label range the tile meets
-        touched = np.zeros(int(old.max()) - low + 1, dtype=bool)
-        touched[old - low] = True
-        split = low + np.flatnonzero(touched)
-        label[block] = count + (np.cumsum(touched) - 1)[old - low]
-        parent.append(split)
-        tile_of.append(np.full(len(split), j))
-        count += len(split)
-    parent, tile_of = np.concatenate(parent), np.concatenate(tile_of)
+        old = old - low
+        touched = np.zeros(int(old.max()) + 1, dtype=bool)
+        touched[old] = True
+        parent.append(low + np.flatnonzero(touched))
+        label[block] = (np.cumsum(touched) + (count - 1))[old]
+        count += len(parent[-1])
+    tile_of = np.repeat(np.arange(-1, k), [len(split) for split in parent])
+    parent = np.concatenate(parent)
     weights = None
     if line_sizes is not None:
         rows, cols = np.nonzero(free)
@@ -382,8 +412,8 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
 
     eps = np.finfo(float)
     p[free] = np.clip(_sigmoid(s), eps.tiny, 1.0 - eps.epsneg)[label]
-    residual = max((abs(fold.mass(p[block], block) / area - alpha)
-                    for block, area, alpha, *_ in fold.parts), default=0.0)
+    residual = max((abs(_mass(p[block], weight) / area - alpha)
+                    for block, area, alpha, *_, weight in fold.parts), default=0.0)
     if residual > opts.tolerance:
         raise NoConvergence(
             f"residual {residual:.3g} > tolerance {opts.tolerance:.3g}; "

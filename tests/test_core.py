@@ -14,9 +14,27 @@ from tiledive import (
     annotate,
     empirical_frequency,
 )
-from tiledive.errors import ConflictingExactTiles, OutOfBounds
+from tiledive.errors import ConflictingExactTiles, InputError, OutOfBounds
 
 from conftest import make_set, random_dataset, random_tile
+
+
+class TestBinaryDataset:
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.0, 0.5], [1.0, 0.0]]),
+        np.array([[0, 2], [1, 0]]),
+        np.array([[0, 1], [-1, 0]], dtype=np.int8),
+        np.array([[0, 1], [1, 255]], dtype=np.uint8),
+    ])
+    def test_entries_other_than_0_and_1_rejected(self, bad):
+        with pytest.raises(InputError, match="must be 0 or 1"):
+            BinaryDataset(bad)
+
+    def test_bool_and_float_matrices_accepted_as_a_copy(self):
+        for entries in (np.array([[True, False], [False, True]]), np.eye(2)):
+            data = BinaryDataset(entries)
+            assert data.entries.dtype == np.uint8 and data.entries is not entries
+            np.testing.assert_array_equal(data.entries, np.eye(2))
 
 
 class TestTileValidation:

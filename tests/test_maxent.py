@@ -18,7 +18,7 @@ from tiledive import (
     margin_tiles,
     model_frequency,
 )
-from tiledive.maxent import FitOptions, _fold
+from tiledive.maxent import FitOptions, _fold, _settle, _unfolded
 from tiledive.errors import ConflictingExactTiles, InfeasibleTile, InputError, NoConvergence
 
 from conftest import make_set, random_annotated_set, random_dataset
@@ -416,6 +416,48 @@ class TestFold:
             for ft in ts))
         np.testing.assert_allclose(fit(moved).p, fit(ts).p[np.ix_(row_perm, col_perm)],
                                    rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        background=st.sampled_from(["rows", "columns", "columns+rows"]),
+    )
+    def test_folded_settle_and_parts_match_the_tiles(self, seed, background):
+        rng = np.random.default_rng(seed)
+        n, m = (int(d) for d in rng.integers(1, 13, size=2))
+        data = random_dataset(rng, n, m, density=float(rng.uniform(0.0, 1.0)))
+        ts = random_annotated_set(rng, data, int(rng.integers(0, 5)))
+        ts = ts.union(background_tiles(background, data))
+        fold = _fold(ts)
+        row_of, col_of = fold.groups
+        # the folded settle pass, each entry taking its cell's value,
+        # settles the same entries to the same values as the unfolded one
+        np.testing.assert_array_equal(_settle(fold)[0][np.ix_(row_of, col_of)],
+                                      _settle(_unfolded(ts))[0])
+
+        def cover(ft):
+            rows, cols = (np.array(ids) - 1 for ids in (ft.tile.rows, ft.tile.cols))
+            return tuple(np.unique(row_of[rows])), tuple(np.unique(col_of[cols])), ft.alpha
+
+        # a part's grid pair selects exactly the groups its first tile
+        # covers, every tile lies in a part with its groups and frequency,
+        # and the parts stand for every tile and its area once
+        row_sizes, col_sizes = fold.sizes
+        parts = {}
+        for block, area, alpha, first, tile, count, weight in fold.parts:
+            selected = np.zeros(fold.shape, dtype=bool)
+            selected[block] = True
+            rows, cols = np.flatnonzero(selected.any(axis=1)), np.flatnonzero(selected.any(axis=0))
+            assert selected.sum() == len(rows) * len(cols)
+            grid = tuple(rows), tuple(cols), alpha
+            assert cover(ts.tiles[first]) == grid and ts.tiles[first].tile == tile
+            np.testing.assert_array_equal(weight, np.outer(row_sizes[rows], col_sizes[cols]))
+            assert selected[block].shape == weight.shape
+            parts.setdefault(grid, []).append((area, count))
+        assert all(cover(ft) in parts for ft in ts)
+        assert sum(count for group in parts.values() for _, count in group) == len(ts)
+        assert (sum(area for group in parts.values() for area, _ in group)
+                == sum(ft.tile.area for ft in ts))
 
 
 def assert_meets_tiles_and_settles_only_forced(ts: TileSet, model) -> None:
