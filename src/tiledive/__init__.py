@@ -24,7 +24,6 @@ from .io import read_dataset, read_tileset, write_dataset, write_tileset
 from .maxent import (
     EntryModel,
     FitOptions,
-    bernoulli_update,
     exact_fastpath,
     fit,
     model_frequency,
@@ -48,7 +47,6 @@ __all__ = [
     "TileSet",
     "annotate",
     "background_tiles",
-    "bernoulli_update",
     "clustering_to_tiles",
     "density_tile",
     "distance",

@@ -35,6 +35,10 @@ from .maxent import EntryModel, FitOptions, exact_fastpath, fit
 # Below this, KL(M || bg) is treated as zero and the distance defined as 1.
 _ZERO_KL = 1e-12
 
+# Least improvement that counts when a search compares candidates: a
+# smaller one is rounding, and the candidate met first keeps its place.
+_MIN_GAIN = 1e-12
+
 _LN2 = math.log(2.0)
 
 
@@ -53,8 +57,17 @@ class DistanceReport:
     used_jaccard_path: bool
 
 
-def _entry_kl(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Sum over entries and both outcomes of pa * log(pa / pb)."""
+def kl(model_a: EntryModel, model_b: EntryModel) -> float:
+    """KL(model_a || model_b) in nats: the sum over entries and both
+    outcomes of pa * log(pa / pb).
+
+    Finite whenever model_b was fitted for a subset of model_a's tiles:
+    any entry deterministic under b is then deterministic under a with
+    the same value.
+    """
+    if model_a.dims != model_b.dims:
+        raise DimMismatch(f"model dims differ: {model_a.dims} vs {model_b.dims}")
+    pa, pb = model_a.p, model_b.p
     det_clash = ((pb == 0.0) & (pa > 0.0)) | ((pb == 1.0) & (pa < 1.0))
     if det_clash.any():
         i, j = np.argwhere(det_clash)[0]
@@ -66,18 +79,6 @@ def _entry_kl(pa: np.ndarray, pb: np.ndarray) -> float:
         pos = np.where(pa > 0.0, pa * (np.log(pa) - np.log(pb)), 0.0)
         neg = np.where(pa < 1.0, (1.0 - pa) * (np.log1p(-pa) - np.log1p(-pb)), 0.0)
     return float((pos + neg).sum())
-
-
-def kl(model_a: EntryModel, model_b: EntryModel) -> float:
-    """KL(model_a || model_b) in nats.
-
-    Finite whenever model_b was fitted for a subset of model_a's tiles:
-    any entry deterministic under b is then deterministic under a with
-    the same value.
-    """
-    if model_a.dims != model_b.dims:
-        raise DimMismatch(f"model dims differ: {model_a.dims} vs {model_b.dims}")
-    return _entry_kl(model_a.p, model_b.p)
 
 
 def jaccard_distance(t: TileSet, u: TileSet, b: TileSet) -> float:

@@ -88,20 +88,19 @@ class _Fold(NamedTuple):
     original tiles it stands for merged: its index pair on the grid (an
     `np.ix_` pair, or a slice or an index array per side), the summed
     area of those tiles, their frequency, the index of the first of
-    them in the tile set, that tile, their count, and the entries each
-    of its cells stands for, a block the shape of its cells (None when
-    the fold is the identity). A part is a plain tuple because the
-    identity fold builds one per tile on every exact fit, where a named
-    tuple's constructor would cost 5%.
+    them in the tile set, that tile, their count, and its cells' block
+    of `weight` (None when the fold is the identity). A part is a plain
+    tuple because the identity fold builds one per tile on every exact
+    fit, where a named tuple's constructor would cost 5%.
     `groups` holds each row's group and each column's group, and
-    `sizes` the entries per row group and per column group; both are
-    None when the fold is the identity and each cell is one entry.
+    `weight` the entries each grid cell stands for; both are None when
+    the fold is the identity and each cell is one entry.
     """
 
     shape: tuple[int, int]
     parts: list[tuple]
     groups: tuple[np.ndarray, np.ndarray] | None = None
-    sizes: tuple[np.ndarray, np.ndarray] | None = None
+    weight: np.ndarray | None = None
 
 
 def _mass(sub: np.ndarray, weight) -> float:
@@ -115,28 +114,40 @@ def _unfolded(ts: TileSet) -> _Fold:
                            for j, ft in enumerate(ts.tiles)])
 
 
+def _split(label: np.ndarray, blocks, fresh: int) -> list[np.ndarray]:
+    """Split, in place, every class of `label` that each block meets.
+
+    The cells of a block that hold label l move to a new label, one per
+    l the block meets, numbered from `fresh` on in the order of l, so
+    two cells end with one label exactly when they started with one
+    and the same blocks hold them. Returns, per block, the labels it
+    split, in that order.
+    """
+    splits = []
+    for block in blocks:
+        old = label[block]
+        low = int(old.min())  # scan only the label range the block meets
+        old = old - low
+        touched = np.zeros(int(old.max()) + 1, dtype=bool)
+        touched[old] = True
+        label[block] = (np.cumsum(touched) + (fresh - 1))[old]
+        splits.append(low + np.flatnonzero(touched))
+        fresh += len(splits[-1])
+    return splits
+
+
 def _line_groups(count: int, spans: list[np.ndarray], own: dict[int, list]) -> np.ndarray:
     """Group `count` rows (or columns) by signature: the spans (0-based
     lines of a tile with 2 or more of them, short of all) that hold the
     line, and `own[line]`, the keys of the single-line tiles on it.
-    Returns each line's group. Each span splits every group it meets,
-    as in `_entry_classes`."""
+    Returns each line's group."""
     label = np.zeros(count, dtype=np.intp)
     signatures: dict[tuple, int] = {}
     lines = np.fromiter(own, dtype=np.intp, count=len(own))
     label[lines] = [signatures.setdefault(tuple(sorted(keys)), len(signatures) + 1)
                     for keys in own.values()]
-    fresh = len(signatures) + 1
-    for span in spans:
-        old = label[span]
-        low = int(old.min())
-        touched = np.zeros(int(old.max()) - low + 1, dtype=bool)
-        touched[old - low] = True
-        label[span] = fresh + (np.cumsum(touched) - 1)[old - low]
-        fresh += int(np.count_nonzero(touched))
-    used = np.zeros(fresh, dtype=bool)
-    used[label] = True
-    return (np.cumsum(used) - 1)[label]
+    _split(label, spans, len(signatures) + 1)
+    return (np.cumsum(np.bincount(label) > 0) - 1)[label]
 
 
 def _fold(ts: TileSet) -> _Fold:
@@ -187,8 +198,7 @@ def _fold(ts: TileSet) -> _Fold:
         shape_of.append((-1 if nr == 1 else row_key, -1 if nc == 1 else col_key, alpha))
         areas.append(nr * nc)
     groups = (_line_groups(n, spans[0], own[0]), _line_groups(m, spans[1], own[1]))
-    sizes = tuple(np.bincount(group_of).astype(float) for group_of in groups)
-    shape = (len(sizes[0]), len(sizes[1]))
+    weight = np.outer(*(np.bincount(group_of).astype(float) for group_of in groups))
 
     # Tiles merge when their shapes and their single lines' groups
     # agree. Parts are numbered as their first tiles come, so a part's
@@ -218,9 +228,9 @@ def _fold(ts: TileSet) -> _Fold:
         ft = tiles[j]
         rows, cols = lines(0, j, ft.tile), lines(1, j, ft.tile)
         arrays = isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray)
-        parts.append((np.ix_(rows, cols) if arrays else (rows, cols), area, ft.alpha, j,
-                      ft.tile, count, sizes[0][rows, None] * sizes[1][cols]))
-    return _Fold(shape, parts, groups, sizes)
+        block = np.ix_(rows, cols) if arrays else (rows, cols)
+        parts.append((block, area, ft.alpha, j, ft.tile, count, weight[block]))
+    return _Fold(weight.shape, parts, groups, weight)
 
 
 def _settle(fold: _Fold) -> tuple[np.ndarray, list, np.ndarray]:
@@ -279,39 +289,27 @@ def _settle(fold: _Fold) -> tuple[np.ndarray, list, np.ndarray]:
     return p, still, np.array(rest)
 
 
-def _entry_classes(cover: list, free: np.ndarray, line_sizes=None):
+def _entry_classes(cover: list, free: np.ndarray, weights=None):
     """Group the free cells by the set of tiles covering them.
 
     Each tile splits every class it touches, so a class's label links
     back, one covering tile per link, through the labels it was split
     from. Walking those chains gives the sparse tile-by-class incidence
-    and, for the k x k Hessian, every ordered pair of tiles sharing a
-    class, in O(sum over classes of squared cover count) memory.
-    `cover` holds the tiles' index pairs; a cell weighs the product of
-    its row's and column's entry in `line_sizes`, or 1 when that is None.
+    and, for the k x k Hessian, each pair of distinct tiles sharing a
+    class once, as the flat index u * k + t of u above t in the chain
+    (so t < u), in O(sum over classes of squared cover count) memory.
+    `cover` holds the tiles' index pairs, and `weights` each free
+    cell's weight in row-major order, or None for one entry each.
     Returns each free cell's class (row-major), the class sizes, the
-    incidence (tiles, classes) and the pairs (flat k x k index, class).
+    incidence (tiles, classes) and the pairs (flat index, class).
     Classes left without free cells are dropped.
     """
     label = np.zeros(free.shape, dtype=np.intp)  # label 0: covered by no tile
-    parent = [np.zeros(1, dtype=np.intp)]
-    count, k = 1, len(cover)
-    for block in cover:
-        old = label[block]
-        low = int(old.min())  # scan only the label range the tile meets
-        old = old - low
-        touched = np.zeros(int(old.max()) + 1, dtype=bool)
-        touched[old] = True
-        parent.append(low + np.flatnonzero(touched))
-        label[block] = (np.cumsum(touched) + (count - 1))[old]
-        count += len(parent[-1])
+    parent = [np.zeros(1, dtype=np.intp), *_split(label, cover, 1)]
+    k = len(cover)
     tile_of = np.repeat(np.arange(-1, k), [len(split) for split in parent])
     parent = np.concatenate(parent)
-    weights = None
-    if line_sizes is not None:
-        rows, cols = np.nonzero(free)
-        weights = line_sizes[0][rows] * line_sizes[1][cols]
-    sizes = np.bincount(label[free], weights, minlength=count)
+    sizes = np.bincount(label[free], weights, minlength=len(parent))
     node = np.flatnonzero(sizes)  # each live class's label, walked up its chain
     cls = np.arange(len(node))
     none = np.zeros(0, dtype=np.intp)
@@ -322,8 +320,8 @@ def _entry_classes(cover: list, free: np.ndarray, line_sizes=None):
         t = tile_of[node]
         tiles.append(t)
         classes.append(cls)
-        keys += [t * (k + 1)] + [u * k + t for u in above] + [t * k + u for u in above]
-        owners += [cls] * (2 * len(above) + 1)
+        keys += [u * k + t for u in above]
+        owners += [cls] * len(above)
         above.append(t)
         node = parent[node]
     label = (np.cumsum(sizes > 0) - 1)[label[free]]
@@ -333,12 +331,7 @@ def _entry_classes(cover: list, free: np.ndarray, line_sizes=None):
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
-    out = np.empty(s.shape)
-    pos = s >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return np.exp(-np.logaddexp(0.0, -s))
 
 
 def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
@@ -364,8 +357,9 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     fold = _fold(ts)
     p, active, targets = _settle(fold)
     free = p == 0.5  # settled entries hold 0 or 1
+    weights = None if fold.weight is None else fold.weight[free]
     label, sizes, tiles, classes, pair_keys, pair_classes = _entry_classes(
-        [fold.parts[j][0] for j in active], free, fold.sizes
+        [fold.parts[j][0] for j in active], free, weights
     )
     k = len(active)
     areas = np.array([fold.parts[j][1] for j in active], dtype=float)
@@ -385,10 +379,12 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
         residual = float(np.max(np.abs(grad) / areas, initial=0.0))
         if residual <= opts.tolerance:
             break
-        curvature = (sizes * q * (1.0 - q))[pair_classes]
-        hess = np.bincount(pair_keys, weights=curvature, minlength=k * k).reshape(k, k)
-        ridge = 1e-12 * max(float(hess.diagonal().max()), 1.0)
-        hess.flat[:: k + 1] += ridge
+        curvature = sizes * q * (1.0 - q)
+        # pairs below the diagonal; the result is int64 when none exist
+        off = np.bincount(pair_keys, curvature[pair_classes], minlength=k * k).reshape(k, k)
+        diagonal = tile_sums(curvature)
+        ridge = 1e-12 * max(float(diagonal.max()), 1.0)
+        hess = off + off.T + np.diag(diagonal + ridge)
         step = np.linalg.solve(hess, -grad)
         descent = float(grad @ step)
         if descent >= 0.0:  # numerical breakdown: fall back to steepest descent

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import FreqTile, TileSet
-from .divergence import _ZERO_KL, _fit_joint, _fit_or_fast, kl
+from .divergence import _MIN_GAIN, _ZERO_KL, _fit_joint, _fit_or_fast, kl
 from .errors import InfiniteSurprise, InputError
 from .maxent import EntryModel, FitOptions, model_frequency
 
@@ -103,13 +103,20 @@ def fitamin(
     trace: list[float] = []
 
     while remaining:
-        # Ties go to the earlier candidate: min and max keep the first.
+        # Ties go to the earlier candidate: as in `fruits`, a later one
+        # must beat the best so far by more than rounding, _MIN_GAIN.
+        pick, best = 0, None
         if mode == "exact":
-            fits = (prefix_fit(prefix.with_tile(cand)) for cand in remaining)
-            pick, (model_pb, d_after) = min(enumerate(fits), key=lambda f: f[1][1])
+            for i, cand in enumerate(remaining):
+                fitted = prefix_fit(prefix.with_tile(cand))
+                if best is None or fitted[1] < best[1] - _MIN_GAIN:
+                    pick, best = i, fitted
+            model_pb, d_after = best
         else:
-            scores = [surprise_score(cand, model_pb) for cand in remaining]
-            pick = scores.index(max(scores))
+            for i, cand in enumerate(remaining):
+                score = surprise_score(cand, model_pb)
+                if best is None or score > best + _MIN_GAIN * max(1.0, best):
+                    pick, best = i, score
             model_pb, d_after = prefix_fit(prefix.with_tile(remaining[pick]))
 
         chosen = remaining.pop(pick)

@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FreqTile, TileSet
-from .divergence import _combine, _fit_joint, _fit_or_fast
+from .divergence import _MIN_GAIN, _combine, _fit_joint, _fit_or_fast
 from .errors import DimMismatch
 from .maxent import FitOptions
-
-# Minimum decrease for a candidate to count as an improvement; ties and
-# zero-improvement additions are rejected so the loop always terminates.
-_MIN_GAIN = 1e-12
 
 
 @dataclass(frozen=True)

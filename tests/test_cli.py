@@ -207,6 +207,18 @@ class TestRedescribeAndRank:
         assert steps[0]["distance"] == pytest.approx(0.6, abs=1e-9)
         assert steps[1]["distance"] == pytest.approx(1 / 3, abs=1e-9)
 
+    def test_redescribe_without_a_gain_prints_step_zero(self, runner, workdir):
+        # the only candidate is disjoint from the target: Jaccard distance 1
+        (workdir / "far.tiles").write_text('{"rows": [3], "cols": [3], "freq": 1.0}\n')
+        result = runner.invoke(
+            main,
+            ["redescribe", "--data", "data.txt", "--target", "t.tiles", "--candidates", "far.tiles"],
+        )
+        assert result.exit_code == 0
+        assert [json.loads(line) for line in result.output.strip().splitlines()] == [
+            {"step": 0, "tile": None, "distance": 1.0}
+        ]
+
     def test_rank_reaches_zero(self, runner, workdir):
         result = runner.invoke(
             main,

@@ -13,7 +13,7 @@ from tiledive import (
     margin_tiles,
 )
 from tiledive.convert import BACKGROUND_PRESETS
-from tiledive.errors import OutOfBounds
+from tiledive.errors import InputError, OutOfBounds
 
 
 class TestItemsets:
@@ -78,6 +78,11 @@ class TestClustering:
         expected = [Tile(rows, cols) for rows in members if rows for cols in col_groups]
         ts = clustering_to_tiles(r, data, mode)
         assert [ft.tile for ft in ts.tiles] == expected
+
+    def test_unknown_mode_rejected(self, toy_data):
+        labels = {i: 1 for i in range(1, 6)}
+        with pytest.raises(InputError, match="unknown mode 'per-row'"):
+            clustering_to_tiles(ClusteringResult(labels, 1), toy_data, "per-row")
 
     def test_partial_labeling_rejected(self, toy_data):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from tiledive import (
     annotate,
     empirical_frequency,
 )
-from tiledive.errors import ConflictingExactTiles, InputError, OutOfBounds
+from tiledive.errors import ConflictingExactTiles, DimMismatch, InputError, OutOfBounds
 
 from conftest import make_set, random_dataset, random_tile
 
@@ -28,6 +28,12 @@ class TestBinaryDataset:
     ])
     def test_entries_other_than_0_and_1_rejected(self, bad):
         with pytest.raises(InputError, match="must be 0 or 1"):
+            BinaryDataset(bad)
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((0, 2)), np.zeros((2, 2, 2))],
+                             ids=["1-d", "no-rows", "3-d"])
+    def test_other_than_a_non_empty_matrix_rejected(self, bad):
+        with pytest.raises(InputError, match="non-empty 2-d matrix"):
             BinaryDataset(bad)
 
     def test_bool_and_float_matrices_accepted_as_a_copy(self):
@@ -75,6 +81,11 @@ class TestTileValidation:
     def test_tileset_rejects_oversized_tile(self):
         with pytest.raises(OutOfBounds):
             TileSet((2, 2), (FreqTile(Tile([3], [1]), 1.0),))
+
+    @pytest.mark.parametrize("dims", [(0, 3), (3, 0), (-1, 2)])
+    def test_tileset_rejects_nonpositive_dims(self, dims):
+        with pytest.raises(InputError, match="dims must be positive"):
+            TileSet(dims)
 
     def test_tileset_rejects_conflicting_exact_duplicates(self):
         t = Tile([1], [1])
@@ -168,6 +179,10 @@ class TestAnnotate:
         # direct count: rows 2-4 x cols 3-5 inside the tile are ones
         expected = 9 / 16
         assert empirical_frequency(tile, data) == expected
+
+    def test_other_dims_rejected(self, toy_data):
+        with pytest.raises(DimMismatch):
+            annotate(TileSet((5, 4)), toy_data)
 
     def test_annotate_is_fixed_point(self, toy_data, toy_tiles):
         ts = make_set(toy_data, *toy_tiles.values())

@@ -73,6 +73,15 @@ class TestDistanceMatrix:
         with pytest.raises(DimMismatch):
             distance_matrix([toy_sets["t"], TileSet((2, 2))])
 
+    def test_no_sets_give_an_empty_matrix(self):
+        assert distance_matrix([]) == []
+
+    def test_distance_rejects_a_set_on_other_dims(self, toy_sets):
+        for t, u, b in ((toy_sets["t"], TileSet((2, 2)), None),
+                        (toy_sets["t"], toy_sets["u"], TileSet((2, 2)))):
+            with pytest.raises(DimMismatch):
+                distance(t, u, b)
+
 
 class TestInconsistentSets:
     # One 2x2 rectangle of a 3x3 grid at frequency 1/4 in one set and 3/4

@@ -49,6 +49,19 @@ def test_dataset_bad_header(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", r"d\.db: empty dataset file"),
+    ("3 x\n1\n2\n3\n", r"d\.db:1: expected header 'n m'"),
+    ("0 3\n", r"d\.db:1: dims must be positive"),
+    ("3 3\n1\n2\n", r"d\.db: expected 3 row lines, got 2"),
+], ids=["empty-file", "non-integer-header", "non-positive-dims", "too-few-rows"])
+def test_dataset_header_and_row_count_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "d.db"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match=message):
+        read_dataset(path)
+
+
 def test_dataset_column_out_of_range(tmp_path):
     path = tmp_path / "d.db"
     path.write_text("1 3\n4\n")
@@ -142,6 +155,7 @@ def test_tileset_invalid_json_names_line(tmp_path, toy_data):
     '{"rows": {"1": 1}, "cols": [1]}',
     '{"rows": [1], "cols": [1], "freq": true}',
     '{"rows": [1], "cols": [1], "freq": "0.5"}',
+    '{"rows": [1], "freq": 0.5}',
 ])
 def test_tileset_malformed_value_names_line(tmp_path, toy_data, line):
     path = tmp_path / "t.tiles"

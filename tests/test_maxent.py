@@ -11,14 +11,13 @@ from tiledive import (
     Tile,
     TileSet,
     background_tiles,
-    bernoulli_update,
     density_tile,
     exact_fastpath,
     fit,
     margin_tiles,
     model_frequency,
 )
-from tiledive.maxent import FitOptions, _fold, _settle, _unfolded
+from tiledive.maxent import FitOptions, _fold, _settle, _unfolded, bernoulli_update
 from tiledive.errors import ConflictingExactTiles, InfeasibleTile, InputError, NoConvergence
 
 from conftest import make_set, random_annotated_set, random_dataset
@@ -320,6 +319,25 @@ class TestFitContracts:
         assert model.residual <= 1e-6
         assert peak < 5 * 2**20
 
+    def test_hessian_pairs_are_stored_once(self):
+        # Random tiles keep the fold close to the identity: 120 x 120
+        # cells, each its own class under up to 14 tiles. Storing each
+        # pair of tiles sharing a class in both orders, plus a diagonal
+        # key, took the peak to 14.9 MB; once per pair it is 7.5 MB.
+        rng = np.random.default_rng(1)
+        data = random_dataset(rng, 120, 120, density=0.3)
+        tiles = [Tile(rng.choice(np.arange(1, 121), 60, replace=False),
+                      rng.choice(np.arange(1, 121), 60, replace=False)) for _ in range(12)]
+        ts = make_set(data, *tiles).union(background_tiles("columns+rows", data))
+        tracemalloc.start()
+        try:
+            model = fit(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.residual <= 1e-6
+        assert peak < 10 * 2**20
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -441,8 +459,10 @@ class TestFold:
 
         # a part's grid pair selects exactly the groups its first tile
         # covers, every tile lies in a part with its groups and frequency,
-        # and the parts stand for every tile and its area once
-        row_sizes, col_sizes = fold.sizes
+        # and the parts stand for every tile and its area once; a cell
+        # weighs the entries it stands for
+        sizes = np.bincount(row_of), np.bincount(col_of)
+        np.testing.assert_array_equal(fold.weight, np.outer(*sizes))
         parts = {}
         for block, area, alpha, first, tile, count, weight in fold.parts:
             selected = np.zeros(fold.shape, dtype=bool)
@@ -451,7 +471,7 @@ class TestFold:
             assert selected.sum() == len(rows) * len(cols)
             grid = tuple(rows), tuple(cols), alpha
             assert cover(ts.tiles[first]) == grid and ts.tiles[first].tile == tile
-            np.testing.assert_array_equal(weight, np.outer(row_sizes[rows], col_sizes[cols]))
+            np.testing.assert_array_equal(weight, fold.weight[np.ix_(rows, cols)])
             assert selected[block].shape == weight.shape
             parts.setdefault(grid, []).append((area, count))
         assert all(cover(ft) in parts for ft in ts)

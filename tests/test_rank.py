@@ -120,6 +120,18 @@ class TestRankingContract:
         assert fitamin(flipped, None, "exact", TIGHT).order[0].tile == b
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("alpha", [0.7, 0.1, 0.35, 0.9, 0.45])
+    def test_mirrored_frequencies_tie_to_input_order(self, mode, alpha):
+        # a and 1 - a on mirrored areas of equal size carry the same
+        # information in theory; in floats 1 - 0.7 != 0.3, and the two
+        # distances or scores may differ in their last bits
+        a = FreqTile(Tile([1, 2], range(1, 6)), alpha)
+        b = FreqTile(Tile([9, 10], range(6, 11)), 1.0 - alpha)
+        for first, second in ((a, b), (b, a)):
+            r = fitamin(TileSet((10, 10), (first, second)), None, mode, TIGHT)
+            assert r.order == (first, second)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_tiles_the_background_implies_stay_at_distance_one(self, toy_data, mode):
         margins = margin_tiles(toy_data, "columns")
         r = fitamin(margins, margins, mode, TIGHT)
