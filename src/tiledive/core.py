@@ -78,6 +78,7 @@ class Tile:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     _block: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _as_id_tuple(self.rows, "row"))
@@ -86,6 +87,11 @@ class Tile:
         for index in block:
             index.setflags(write=False)
         object.__setattr__(self, "_block", block)
+        # hashed once: tile sets, unions and model caches hash tiles often
+        object.__setattr__(self, "_hash", hash((self.rows, self.cols)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def area(self) -> int:
@@ -133,7 +139,9 @@ class TileSet:
 
     Order matters to greedy selection. An identical repeat of a tile and
     frequency is kept once: a max-entropy model depends only on its set
-    of constraints. One tile at both exact frequencies is rejected.
+    of constraints. `fit` honours that bit for bit, as it takes the tiles
+    in a canonical order of its own: by first row, first column, ids and
+    frequency. One tile at both exact frequencies is rejected.
     """
 
     dims: tuple[int, int]

@@ -10,8 +10,9 @@ times a count of entries, and no KL pass over the matrix is needed.
 
 `distance` fits four models and `_combine` turns them into the report.
 `distance_matrix` and `redescribe.fruits` fit the models that pairs
-share once. A shared model is a fit of the same `TileSet`, built by the
-same `union` call, so values are bit-identical to per-pair `distance`.
+share once. `fit` depends only on the set of tiles, not on their order,
+so a shared model is the one per-pair `distance` would fit, and values
+are bit-identical to per-pair `distance`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ target tile set, stopping once no candidate gives a strict improvement.
 Finding the optimal subset is intractable, so greedy is the intended
 trade-off. The search starts from the empty selection, which is at
 distance 1 from any target. The target+bg and bg models are the same
-for every candidate, so they are fitted once per call.
+for every candidate, so they are fitted once per call; and as a model
+depends only on its set of tiles, a candidate's model is reused when
+its set recurs: see `fruits`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from dataclasses import dataclass
 from .core import FreqTile, TileSet
 from .divergence import _MIN_GAIN, _combine, _fit_joint, _fit_or_fast
 from .errors import DimMismatch
-from .maxent import FitOptions
+from .maxent import EntryModel, FitOptions
+
+# The most memory the joint models that `fruits` keeps from one round
+# to the next may take. A bound in bytes, not one model per candidate,
+# keeps a call's memory bounded: 16 MB is 2 models at 1000×1000 and 23
+# at 300×300.
+_KEPT_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -40,9 +48,14 @@ def fruits(
     deterministic. The selection order is preserved for top-k reading.
 
     Each distance is `distance(chosen + cand, target, background, opts)`
-    bit for bit, but only the joint and chosen+cand+bg models are fitted
-    per candidate: target+bg and bg are fitted once. The empty selection
-    is at distance 1 by definition, so it needs no fit.
+    bit for bit. `fit` gives a set the same model in any order, so a set
+    that recurs reuses its model: target+bg and bg are fitted once; a
+    candidate in the target or the background has chosen+target+bg for
+    its joint; a pick from there leaves every other joint as it was, so
+    joints are kept for the next round, as many as `_KEPT_BYTES` holds
+    (a call holds O(1) models, not one per candidate); and
+    once chosen+cand+bg holds the target, it is the joint. The empty
+    selection is at distance 1 by definition, so it needs no fit.
     """
     if background is None:
         background = TileSet(target.dims)
@@ -53,6 +66,12 @@ def fruits(
 
     model_ub = _fit_joint(target.union(background), opts)
     model_b = _fit_or_fast(background, opts)
+    # A pick from `inside` changes no joint. The joint of a candidate in
+    # it is chosen+target+bg: target+bg until a pick from outside, then
+    # that pick's joint.
+    inside = frozenset(target.tiles) | frozenset(background.tiles)
+    model_base = model_ub
+    kept: dict[FreqTile, EntryModel] = {}  # joints of candidates outside
 
     chosen = TileSet(target.dims)
     # d(empty, target; bg) = (0 + KL(M || bg)) / KL(M || bg) = 1 with
@@ -65,17 +84,33 @@ def fruits(
     while remaining:
         round_best = best
         round_pick = None
+        # a joint is worth keeping only if a pick from `inside` may come
+        keep = any(cand in inside for cand in remaining)
         for i, cand in enumerate(remaining):
             t = chosen.with_tile(cand)
-            model_m = _fit_joint(t.union(target, background), opts)
-            model_tb = _fit_or_fast(t.union(background), opts)
+            joint = t.union(target, background)
+            if cand in inside:
+                model_m = model_base
+            elif cand in kept:
+                model_m = kept[cand]
+            else:
+                model_m = _fit_joint(joint, opts)
+                if keep and (len(kept) + 1) * model_m.p.nbytes <= _KEPT_BYTES:
+                    kept[cand] = model_m
+            t_bg = t.union(background)
+            # t_bg lies in the joint, so with as many tiles it is the joint
+            model_tb = model_m if len(t_bg) == len(joint) else _fit_or_fast(t_bg, opts)
             d = _combine(t, target, background, model_m, model_tb, model_ub, model_b).value
             if d < round_best - _MIN_GAIN:
                 round_best = d
                 round_pick = i
+                pick_joint = model_m
         if round_pick is None:
             break
         cand = remaining.pop(round_pick)
+        if cand not in inside:
+            model_base = pick_joint
+            kept.clear()
         chosen = chosen.with_tile(cand)
         selected.append(cand)
         best = round_best

@@ -72,6 +72,20 @@ class TestTileValidation:
         assert t != Tile([1, 3], [2])
         assert repr(t) == "Tile(rows=[1, 3], cols=[2, 4])"
 
+    @pytest.mark.parametrize("rows, cols", [
+        ([3, 1, 2], [2, 1]),
+        ((2, 3, 1, 1), np.array([2, 1])),
+        (range(3, 0, -1), {2, 1}),
+    ])
+    def test_same_ids_in_any_order_are_equal_and_hash_equal(self, rows, cols):
+        t, same = Tile(rows, cols), Tile((1, 2, 3), (1, 2))
+        assert t == same and hash(t) == hash(same)
+        assert FreqTile(t, 0.5) == FreqTile(same, 0.5)
+        assert hash(FreqTile(t, 0.5)) == hash(FreqTile(same, 0.5))
+        # taken once, from the sorted ids: an int tuple's hash does not
+        # depend on PYTHONHASHSEED
+        assert t._hash == hash(t) == hash(((1, 2, 3), (1, 2)))
+
     def test_freq_tile_range(self):
         with pytest.raises(ValueError):
             FreqTile(Tile([1], [1]), 1.5)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiledive import (
+    BinaryDataset,
     FreqTile,
     Tile,
     TileSet,
@@ -17,7 +18,7 @@ from tiledive import (
     margin_tiles,
     model_frequency,
 )
-from tiledive.maxent import FitOptions, _fold, _settle, _unfolded, bernoulli_update
+from tiledive.maxent import FitOptions, _canonical, _fold, _settle, _unfolded, bernoulli_update
 from tiledive.errors import ConflictingExactTiles, InfeasibleTile, InputError, NoConvergence
 
 from conftest import make_set, random_annotated_set, random_dataset
@@ -353,6 +354,41 @@ class TestFitContracts:
         assert_meets_tiles_and_settles_only_forced(ts, fit(ts))
 
 
+class TestSetFunction:
+    """A model depends only on its set of tiles, so `fit` takes them in
+    one canonical order and any order of `ts.tiles` gives the same model
+    bit for bit."""
+
+    def test_permuting_the_tiles_gives_the_same_model(self):
+        seen = {"identity": 0, "merged": 0, "exact": 0}
+        for seed in range(6):
+            for background in ("none", "density", "columns", "rows", "columns+rows"):
+                rng = np.random.default_rng(800 + seed)
+                n, m = (int(d) for d in rng.integers(8, 16, size=2))
+                entries = (rng.random((n, m)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+                entries[:3, :3], entries[-3:, -3:] = 1, 0  # exact tiles live here
+                data = BinaryDataset(entries)
+                # tiles of 2 or more rows and columns, so that only a
+                # margin background makes single-line tiles
+                tiles = [Tile(rng.choice(np.arange(1, n + 1), int(rng.integers(2, n)), replace=False),
+                              rng.choice(np.arange(1, m + 1), int(rng.integers(2, m)), replace=False))
+                         for _ in range(4)]
+                tiles += [Tile([1, 2], [1, 2, 3]), Tile([n - 1, n], [m - 2, m])]
+                ts = make_set(data, *tiles).union(background_tiles(background, data))
+                fold = _fold(ts)
+                seen["identity"] += fold.groups is None
+                seen["merged"] += len(fold.parts) < len(ts)
+                seen["exact"] += sum(ft.exact for ft in ts) >= 2
+                model = fit(ts)
+                for perm in (np.arange(len(ts))[::-1], rng.permutation(len(ts))):
+                    moved = fit(TileSet(ts.dims, tuple(ts.tiles[j] for j in perm)))
+                    assert np.array_equal(moved.p, model.p)
+                    assert moved.residual == model.residual
+        # every set has exact tiles, the 12 without a margin background
+        # fold to the identity, and some margin sets merge single lines
+        assert seen["exact"] == 30 and seen["identity"] == 12 and seen["merged"] > 0
+
+
 class TestMaximumEntropy:
     """By convex duality the maximum-entropy model is the member of the
     exponential family that meets every tile frequency: on its free
@@ -400,7 +436,9 @@ class TestFold:
         ts = make_set(data, *tiles).union(density_tile(data))
         fold = _fold(ts)
         assert fold.groups is None and fold.shape == ts.dims
-        assert [part[0] for part in fold.parts] == [ft.tile.block() for ft in ts]
+        # one part per tile, in the canonical order fit takes them in
+        assert ([part[0] for part in fold.parts]
+                == [ts.tiles[j].tile.block() for j in _canonical(ts)])
 
     def test_margin_groups_are_the_distinct_sums(self):
         data = random_dataset(np.random.default_rng(0), 500, 500, density=0.3)
@@ -450,8 +488,9 @@ class TestFold:
         row_of, col_of = fold.groups
         # the folded settle pass, each entry taking its cell's value,
         # settles the same entries to the same values as the unfolded one
+        # in input order
         np.testing.assert_array_equal(_settle(fold)[0][np.ix_(row_of, col_of)],
-                                      _settle(_unfolded(ts))[0])
+                                      _settle(_unfolded(ts, range(len(ts))))[0])
 
         def cover(ft):
             rows, cols = (np.array(ids) - 1 for ids in (ft.tile.rows, ft.tile.cols))

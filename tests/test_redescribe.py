@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tiledive.divergence
+import tiledive.redescribe
 from tiledive import TileSet, background_tiles, distance, fruits
 from tiledive.errors import DimMismatch
 from tiledive.maxent import FitOptions
@@ -109,18 +110,21 @@ class TestGreedyContract:
 def reference_greedy(target, candidates, background, opts):
     """`fruits`'s selection rule on public `distance` calls, 4 fits each.
 
-    Returns the selection, the trace and the number of candidate
-    evaluations.
+    Returns the selection, the trace and the number of distinct tile sets
+    among target+bg, bg and each evaluation's joint and chosen+cand+bg.
     """
     chosen = TileSet(target.dims)
     remaining = list(candidates.tiles)
     best = distance(chosen, target, background, opts).value
-    selected, trace, evaluations = [], [], 0
+    selected, trace = [], []
+    sets = {frozenset(target.union(background).tiles), frozenset(background.tiles)}
     while remaining:
         round_best, round_pick = best, None
         for i, cand in enumerate(remaining):
-            d = distance(chosen.with_tile(cand), target, background, opts).value
-            evaluations += 1
+            t = chosen.with_tile(cand)
+            d = distance(t, target, background, opts).value
+            sets |= {frozenset(t.union(target, background).tiles),
+                     frozenset(t.union(background).tiles)}
             if d < round_best - 1e-12:
                 round_best, round_pick = d, i
         if round_pick is None:
@@ -130,7 +134,7 @@ def reference_greedy(target, candidates, background, opts):
         selected.append(cand)
         best = round_best
         trace.append(best)
-    return tuple(selected), tuple(trace), evaluations
+    return tuple(selected), tuple(trace), len(sets)
 
 
 class TestSharedFits:
@@ -145,15 +149,33 @@ class TestSharedFits:
         candidates = random_annotated_set(rng, data, 3).union(target)
         background = background_tiles(preset, data)
         background = TileSet(data.dims, background.tiles + background.tiles[:repeats])
-        selected, trace, evaluations = reference_greedy(target, candidates, background, FitOptions())
+        selected, trace, distinct = reference_greedy(target, candidates, background, FitOptions())
 
         fits = record_fits(monkeypatch)
         r = fruits(target, candidates, background, FitOptions())
 
         assert r.selected == selected
         assert [d.hex() for d in r.trace] == [d.hex() for d in trace]
-        # target+bg and bg once, then the joint and chosen+cand+bg per candidate
-        assert len(fits) == 2 + 2 * evaluations
+        # one fit per distinct tile set: a model depends only on its set
+        assert len(fits) == distinct
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_joints_past_the_cap_are_refitted(self, monkeypatch, seed):
+        # 3 candidates outside the target, and room to keep 1 joint model
+        rng = np.random.default_rng(700 + seed)
+        data = random_dataset(rng, 8, 8, density=0.4)
+        target = random_annotated_set(rng, data, 3)
+        candidates = random_annotated_set(rng, data, 3).union(target)
+        background = background_tiles("density", data)
+        selected, trace, distinct = reference_greedy(target, candidates, background, FitOptions())
+
+        monkeypatch.setattr(tiledive.redescribe, "_KEPT_BYTES", data.entries.size * 8)
+        fits = record_fits(monkeypatch)
+        r = fruits(target, candidates, background, FitOptions())
+
+        assert r.selected == selected
+        assert [d.hex() for d in r.trace] == [d.hex() for d in trace]
+        assert len(fits) > distinct
 
     @pytest.mark.parametrize("preset", ["density", "columns"])
     def test_empty_selection_is_at_one_without_fit_or_kl(self, monkeypatch, preset):
