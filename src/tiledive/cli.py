@@ -49,8 +49,8 @@ def _on_data(command):
         text = "".join(line + "\n" for line in command(read_dataset(data), **kwargs))
         if output:
             Path(output).write_text(text)
-        else:
-            click.echo(text, nl=False)
+        else:  # click.echo's stream cache would keep each redirected stream alive
+            sys.stdout.write(text)
     return run
 
 
@@ -81,10 +81,10 @@ class _Cli(click.Group):
         try:
             return super().invoke(ctx)
         except (InputError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_INPUT_ERROR)
         except TilediveError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            print(f"numerical failure: {exc}", file=sys.stderr)
             sys.exit(EXIT_NUMERICAL_ERROR)
 
 
@@ -105,7 +105,7 @@ def convert_itemsets(ds, input_file):
     """Convert itemsets (one per line, column ids) into exact tiles."""
     result = itemsets_to_tiles(read_itemsets(input_file, ds), ds)
     if result.skipped:
-        click.echo(f"warning: skipped {result.skipped} itemset(s) with empty support", err=True)
+        print(f"warning: skipped {result.skipped} itemset(s) with empty support", file=sys.stderr)
     return tileset_to_lines(result.tiles)
 
 

@@ -146,6 +146,7 @@ class TileSet:
 
     dims: tuple[int, int]
     tiles: tuple[FreqTile, ...] = field(default_factory=tuple)
+    _all_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.dims
@@ -158,6 +159,8 @@ class TileSet:
             ft.tile.check_fits(n, m)
             if ft.exact and exact.setdefault(ft.tile, ft.alpha) != ft.alpha:
                 raise ConflictingExactTiles(f"tile {ft.tile} is given both exact frequencies")
+        # decided once: a distance asks about the same sets about 10 times
+        object.__setattr__(self, "_all_exact", len(exact) == len(self.tiles))
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -166,7 +169,7 @@ class TileSet:
         return iter(self.tiles)
 
     def all_exact(self) -> bool:
-        return all(ft.exact for ft in self.tiles)
+        return self._all_exact
 
     def with_tile(self, ft: FreqTile) -> "TileSet":
         return TileSet(self.dims, self.tiles + (ft,))

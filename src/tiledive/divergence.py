@@ -5,8 +5,8 @@ The distance between two tile sets, given background knowledge, is
 for the union of all three sets. When every tile involved is exact the
 same value equals the Jaccard dissimilarity of the covered areas minus
 the background area, which is used as a fast path. There each model is
-0 or 1 on its tiles' area and 1/2 elsewhere, so each KL term is ln 2
-times a count of entries, and no KL pass over the matrix is needed.
+0 or 1 on its tiles' area and 1/2 elsewhere, and held as two boolean
+masks, so each KL term is ln 2 times a count of mask entries.
 
 `distance` fits four models and `_combine` turns them into the report.
 `distance_matrix` and `redescribe.fruits` fit the models that pairs
@@ -115,8 +115,9 @@ def _fit_joint(ts: TileSet, opts: FitOptions) -> EntryModel:
 
 
 def _area(model: EntryModel) -> int:
-    """Entry count of an exact model's area: its entries at 0 or 1."""
-    return int(np.count_nonzero(model.p != 0.5))
+    """Entry count of an exact model's area: its mask entries (disjoint)."""
+    ones, zeros = model.masks
+    return int(np.count_nonzero(ones)) + int(np.count_nonzero(zeros))
 
 
 def _combine(
@@ -162,9 +163,9 @@ def distance(
     Falls back to the Jaccard form when every tile is exact (identical
     value, no iteration). With X and Y the areas of t and u outside b's
     area, the KL terms are then ln 2 times the entry counts of Y minus X,
-    X minus Y and the union of X and Y, with no KL pass. Every call fits
-    all four models; to compare many pairs, use `distance_matrix`, which
-    shares them.
+    X minus Y and the union of X and Y, counted on the models' masks:
+    no float model, no KL pass. Every call builds all four models; to
+    compare many pairs, use `distance_matrix`, which shares them.
     """
     if b is None:
         b = TileSet(t.dims)

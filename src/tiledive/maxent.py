@@ -63,6 +63,30 @@ class EntryModel:
         self.p.setflags(write=False)
 
 
+@dataclass(frozen=True, eq=False)
+class _MaskModel(EntryModel):
+    """An exact model (`exact_fastpath`): given `p=None` and its disjoint
+    boolean `masks` of entries at 1 and at 0, it builds the read-only `p`
+    (1/2 off the masks) on first read, so counting entries builds no float
+    matrix. `EntryModel` has no `__getattr__`: a fitted `p` is a plain read."""
+
+    masks: tuple[np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        object.__delattr__(self, "p")  # `__getattr__` builds it on first read
+
+    def __getattr__(self, name):  # only reached while the instance lacks `name`
+        if name != "p":
+            raise AttributeError(name)
+        ones, zeros = self.masks
+        p = np.full(self.dims, 0.5)
+        p[ones] = 1.0
+        p[zeros] = 0.0
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
+        return p
+
+
 def bernoulli_update(y, x):
     """Rescale a Bernoulli probability y by the positive factor x.
 
@@ -457,9 +481,18 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
 
 
 def exact_fastpath(ts: TileSet) -> EntryModel:
-    """Closed form for all-exact tile sets: the settle pass, 1/2 elsewhere."""
+    """Closed form for all-exact tile sets: 1 on the 1-tiles, 0 on the
+    0-tiles, 1/2 elsewhere, held as the two masks (see `_MaskModel`).
+
+    The settle pass raises on an all-exact set exactly when a 1-tile and
+    a 0-tile share an entry, so only then does it run, to name the tile.
+    """
+    if not ts.all_exact():
+        noisy = next(ft for ft in ts.tiles if not ft.exact)
+        raise NotExact(f"exact_fastpath requires exact tiles, got {noisy}")
+    ones, zeros = np.zeros((2, *ts.dims), dtype=bool)
     for ft in ts.tiles:
-        if not ft.exact:
-            raise NotExact(f"exact_fastpath requires exact tiles, got {ft}")
-    p, _, _ = _settle(_unfolded(ts, range(len(ts.tiles))))
-    return EntryModel(dims=ts.dims, p=p, residual=0.0)
+        (ones if ft.alpha else zeros)[ft.tile.block()] = True
+    if (ones & zeros).any():
+        _settle(_unfolded(ts, range(len(ts.tiles))))  # raises ConflictingExactTiles
+    return _MaskModel(dims=ts.dims, p=None, residual=0.0, masks=(ones, zeros))

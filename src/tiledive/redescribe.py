@@ -20,9 +20,10 @@ from .errors import DimMismatch
 from .maxent import EntryModel, FitOptions
 
 # The most memory the joint models that `fruits` keeps from one round
-# to the next may take. A bound in bytes, not one model per candidate,
-# keeps a call's memory bounded: 16 MB is 2 models at 1000×1000 and 23
-# at 300×300.
+# to the next may take, each counted as an n×m float64 matrix (an exact
+# model's two masks take a quarter of that). A bound in bytes, not one
+# model per candidate, keeps a call's memory bounded: 16 MB is 2 models
+# at 1000×1000 and 23 at 300×300.
 _KEPT_BYTES = 2**24
 
 
@@ -70,6 +71,7 @@ def fruits(
     # it is chosen+target+bg: target+bg until a pick from outside, then
     # that pick's joint.
     inside = frozenset(target.tiles) | frozenset(background.tiles)
+    n, m = target.dims
     model_base = model_ub
     kept: dict[FreqTile, EntryModel] = {}  # joints of candidates outside
 
@@ -95,7 +97,7 @@ def fruits(
                 model_m = kept[cand]
             else:
                 model_m = _fit_joint(joint, opts)
-                if keep and (len(kept) + 1) * model_m.p.nbytes <= _KEPT_BYTES:
+                if keep and (len(kept) + 1) * 8 * n * m <= _KEPT_BYTES:
                     kept[cand] = model_m
             t_bg = t.union(background)
             # t_bg lies in the joint, so with as many tiles it is the joint

@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -95,6 +99,23 @@ class TestDistance:
         )
         assert result.exit_code == 0
         assert (workdir / "out.txt").read_text().strip() == "0.555556"
+
+    @pytest.mark.parametrize("right, redirect, text", [
+        ("u.tiles", contextlib.redirect_stdout, "0.555556\n"),
+        ("clash.tiles", contextlib.redirect_stderr, "numerical failure: tile #3 "),
+    ], ids=["output", "failure"])
+    def test_in_process_call_keeps_no_stream_alive(self, workdir, right, redirect, text):
+        # a caller that redirects a stream for each call gets it back freed
+        (workdir / "clash.tiles").write_text('{"rows": [2, 3], "cols": [2, 3], "freq": 0.0}\n')
+        out = io.StringIO()
+        with redirect(out), contextlib.suppress(SystemExit):
+            main.main(["distance", "--data", "data.txt", "--left", "t.tiles",
+                       "--right", right], standalone_mode=False)
+        assert out.getvalue().startswith(text)
+        alive = weakref.ref(out)
+        del out
+        gc.collect()
+        assert alive() is None
 
 
 class TestDistanceMatrix:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,38 @@ class TestExactPath:
         assert report.kl_m_t == pytest.approx(LN2 * np.count_nonzero(y & ~x), rel=1e-12)
         assert report.kl_m_u == pytest.approx(LN2 * np.count_nonzero(x & ~y), rel=1e-12)
         assert report.kl_m_b == pytest.approx(LN2 * np.count_nonzero(x | y), rel=1e-12)
+
+    def test_builds_no_float_model(self):
+        # 4 vs 4 itemset tiles on 500x200 sparse data with planted itemsets
+        rng = np.random.default_rng(18)
+        n, m = 500, 200
+        entries = rng.random((n, m)) < 0.05
+        planted = [rng.choice(m, size=5, replace=False) for _ in range(8)]
+        for cols in planted:
+            entries[np.ix_(rng.choice(n, size=50, replace=False), cols)] = True
+        data = BinaryDataset(entries.astype(np.uint8))
+
+        def side(picks):
+            itemsets = tuple(tuple(int(c) + 1 for c in planted[i]) for i in picks)
+            return tiledive.itemsets_to_tiles(tiledive.ItemsetResult(itemsets), data).tiles
+
+        t, u, b = side([0, 1, 2, 3]), side([2, 3, 4, 5]), TileSet((n, m))
+        assert len(t) == len(u) == 4 and t.all_exact() and u.all_exact()
+        distance(t, u)  # warm up
+        tracemalloc.start()
+        try:
+            report = distance(t, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * m  # two n x m float64 models
+        # the value and KL terms of counting each dense model's entries at 0 or 1
+        areas = [np.count_nonzero(fit(s, TIGHT).p != 0.5)
+                 for s in (t.union(u, b), t.union(b), u.union(b), b)]
+        assert report.used_jaccard_path
+        assert report.value == jaccard_distance(t, u, b)
+        assert (report.kl_m_t, report.kl_m_u, report.kl_m_b) == tuple(
+            LN2 * (areas[0] - area) for area in areas[1:])
 
     @pytest.mark.parametrize("call", [
         lambda t, u: distance(t, u),

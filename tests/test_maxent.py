@@ -19,7 +19,13 @@ from tiledive import (
     model_frequency,
 )
 from tiledive.maxent import FitOptions, _canonical, _fold, _settle, _unfolded, bernoulli_update
-from tiledive.errors import ConflictingExactTiles, InfeasibleTile, InputError, NoConvergence
+from tiledive.errors import (
+    ConflictingExactTiles,
+    InfeasibleTile,
+    InputError,
+    NoConvergence,
+    NotExact,
+)
 
 from conftest import make_set, random_annotated_set, random_dataset
 from oracle import entropy
@@ -140,19 +146,46 @@ class TestExactFastpath:
             slow = fit(ts, TIGHT)
             assert (fast.p == slow.p).all()
 
+    def test_noisy_tile_rejected(self):
+        ts = TileSet((3, 3), (FreqTile(Tile([1], [1]), 1.0), FreqTile(Tile([2], [2]), 0.5)))
+        with pytest.raises(NotExact, match=r"got FreqTile\(Tile\(rows=\[2\], cols=\[2\]\)"):
+            exact_fastpath(ts)
+
     def test_empty_set_uniform(self):
         model = exact_fastpath(TileSet((4, 3)))
         assert (model.p == 0.5).all()
 
     def test_random_exact_sets(self):
+        # the mask model's p, built on first read, is fit's p bit for bit
         from conftest import random_exact_instance
 
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            (ts,), _ = random_exact_instance(rng, 5, 5, [4])
+        for n, m, k in [(5, 5, 4)] * 20 + [(9, 7, 8)] * 20:
+            (ts,), _ = random_exact_instance(rng, n, m, [k])
             reversed_ts = TileSet(ts.dims, ts.tiles[::-1])
             for s in (ts, reversed_ts):
-                assert (exact_fastpath(s).p == fit(s, TIGHT).p).all()
+                model = exact_fastpath(s)
+                assert np.array_equal(model.p, fit(s, TIGHT).p)
+                assert not model.p.flags.writeable
+                assert model.p is model.p
+
+    @pytest.mark.parametrize("tiles", [
+        # a 1-tile and a 0-tile that share one entry
+        [(([1, 2], [1, 2]), 1.0), (([2, 3], [2, 3]), 0.0)],
+        # the clash comes after a tile (#2, one row, so fit folds) whose
+        # entries tile #1 already settled
+        [(([1, 2], [1, 2, 3]), 1.0), (([2], [2, 3]), 1.0), (([2, 3], [3, 4]), 0.0)],
+        [(([1, 2, 3], [1, 2]), 0.0), (([1, 2], [1]), 0.0), (([3], [2, 3]), 0.0),
+         (([3, 4], [3, 4]), 1.0), (([3, 4], [1, 4]), 1.0)],
+    ], ids=["one-entry", "behind-settled", "behind-settled-zeros"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["input", "reversed"])
+    def test_clashing_sets_raise_as_fit_does(self, tiles, order):
+        ts = TileSet((5, 5), tuple(FreqTile(Tile(r, c), a) for (r, c), a in tiles[::order]))
+        with pytest.raises(ConflictingExactTiles) as fast:
+            exact_fastpath(ts)
+        with pytest.raises(ConflictingExactTiles) as slow:
+            fit(ts, TIGHT)
+        assert str(fast.value) == str(slow.value)
 
 
 class TestModelFrequency:
