@@ -90,10 +90,8 @@ def read_dataset(path) -> BinaryDataset:
     if raw[-1] != _NEWLINE:
         ends = np.append(ends, len(raw))
     header = _line(raw, ends, 0, path).split()
-    if len(header) != 2:
-        raise InputFormatError(f"{path}:1: expected header 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = map(int, header)
     except ValueError as exc:
         raise InputFormatError(f"{path}:1: expected header 'n m'") from exc
     if n < 1 or m < 1:
@@ -165,13 +163,7 @@ def _row_ones(raw: bytes, ends: np.ndarray, n: int, m: int, path) -> np.ndarray:
         for i in slow:
             tokens = _line(raw, ends, i + 1, path).split()
             try:
-                try:
-                    ids = list(map(int, tokens))
-                except ValueError:  # an "a-b" range, or a malformed id
-                    ids = _expand_ids(tokens, m)
-                if ids and (min(ids) < 1 or max(ids) > m):
-                    for j in ids:
-                        _check_id("column", j, m)
+                ids = [_check_id("column", j, m) for j in _expand_ids(tokens, m)]
             except InputFormatError as exc:
                 raise InputFormatError(f"{path}:{i + 2}: {exc}") from exc
             slow_rows += [i] * len(ids)

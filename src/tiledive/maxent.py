@@ -14,6 +14,7 @@ groups: under a margin background, one per distinct margin.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,22 +69,20 @@ class _MaskModel(EntryModel):
     """An exact model (`exact_fastpath`): given `p=None` and its disjoint
     boolean `masks` of entries at 1 and at 0, it builds the read-only `p`
     (1/2 off the masks) on first read, so counting entries builds no float
-    matrix. `EntryModel` has no `__getattr__`: a fitted `p` is a plain read."""
+    matrix. A fitted `EntryModel`'s `p` stays a plain attribute."""
 
     masks: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        object.__delattr__(self, "p")  # `__getattr__` builds it on first read
+        object.__delattr__(self, "p")  # the cached property builds it on first read
 
-    def __getattr__(self, name):  # only reached while the instance lacks `name`
-        if name != "p":
-            raise AttributeError(name)
+    @functools.cached_property
+    def p(self) -> np.ndarray:
         ones, zeros = self.masks
         p = np.full(self.dims, 0.5)
         p[ones] = 1.0
         p[zeros] = 0.0
         p.setflags(write=False)
-        object.__setattr__(self, "p", p)
         return p
 
 
@@ -114,8 +113,9 @@ class _Fold(NamedTuple):
     area of those tiles, their frequency, the index of the first of
     them in the tile set, that tile, their count, and its cells' block
     of `weight` (None when the fold is the identity). A part is a plain
-    tuple because the identity fold builds one per tile on every exact
-    fit, where a named tuple's constructor would cost 5%.
+    tuple: the identity fold, which every set without a single-line
+    tile gets (each fit of a search, for one), builds one per tile on
+    every fit, and a named tuple adds its constructor's cost there.
     `groups` holds each row's group and each column's group, and
     `weight` the entries each grid cell stands for; both are None when
     the fold is the identity and each cell is one entry.
@@ -226,7 +226,7 @@ def _fold(ts: TileSet) -> _Fold:
     spans: tuple[list, list] = ([], [])
     own: tuple[dict, dict] = ({}, {})
     keys: dict[tuple, int] = {}
-    single, shape_of, areas = [], [], []
+    single, shape_of = [], []
     for ft in tiles:
         tile, alpha = ft.tile, ft.alpha
         rows, cols = tile.rows, tile.cols
@@ -243,25 +243,20 @@ def _fold(ts: TileSet) -> _Fold:
             spans[1].append(tile.block()[1].ravel())
         single.append((rows[0] - 1 if nr == 1 else -1, cols[0] - 1 if nc == 1 else -1))
         shape_of.append((-1 if nr == 1 else row_key, -1 if nc == 1 else col_key, alpha))
-        areas.append(nr * nc)
     groups = (_line_groups(n, spans[0], own[0]), _line_groups(m, spans[1], own[1]))
     weight = np.outer(*(np.bincount(group_of).astype(float) for group_of in groups))
 
     # Tiles merge when their shapes and their single lines' groups
-    # agree. Parts are numbered as their first tiles come, so a part's
-    # first tile is where the running maximum of the numbers rises.
+    # agree. A part keeps its first tile, sums its tiles' areas
+    # and counts them, and is named by the one first in `ts.tiles`.
     grid_line = [np.where(line < 0, -1, group_of[line]).tolist()
                  for group_of, line in zip(groups, np.array(single).T)]
-    numbers: dict[tuple, int] = {}
-    part_of = [numbers.setdefault(key, len(numbers)) for key in zip(shape_of, *grid_line)]
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(part_of), prepend=-1))
-    # A part is named by its tile that comes first in `ts.tiles` (a loop,
-    # as the first call of np.minimum.at costs 0.1-0.2 MB of RSS).
-    named = [len(tiles)] * len(numbers)
-    for part, j in zip(part_of, order):
-        named[part] = min(named[part], j)
-    merged = zip(first.tolist(), np.bincount(part_of, weights=areas).tolist(),
-                 np.bincount(part_of).tolist(), named)
+    merged: dict[tuple, list] = {}
+    for j, key in enumerate(zip(shape_of, *grid_line)):
+        part = merged.setdefault(key, [j, 0, 0, order[j]])
+        part[1] += tiles[j].tile.area
+        part[2] += 1
+        part[3] = min(part[3], order[j])
 
     # A part's grid lines on each side: a single line is its own group,
     # a side spanning every line takes all groups, and any other side
@@ -276,7 +271,7 @@ def _fold(ts: TileSet) -> _Fold:
         return np.flatnonzero(np.bincount(groups[axis][tile.block()[axis].ravel()]))
 
     parts = []
-    for j, area, count, name in merged:
+    for j, area, count, name in merged.values():
         ft = tiles[j]
         rows, cols = lines(0, j, ft.tile), lines(1, j, ft.tile)
         arrays = isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray)

@@ -50,14 +50,19 @@ def test_dataset_bad_header(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("", r"d\.db: empty dataset file"),
-    ("3 x\n1\n2\n3\n", r"d\.db:1: expected header 'n m'"),
-    ("0 3\n", r"d\.db:1: dims must be positive"),
-    ("3 3\n1\n2\n", r"d\.db: expected 3 row lines, got 2"),
-], ids=["empty-file", "non-integer-header", "non-positive-dims", "too-few-rows"])
+    (b"", r"d\.db: empty dataset file"),
+    (b"3 x\n1\n2\n3\n", r"d\.db:1: expected header 'n m'"),
+    (b"3\n1\n2\n3\n", r"d\.db:1: expected header 'n m'"),
+    (b"3 3 3\n1\n2\n3\n", r"d\.db:1: expected header 'n m'"),
+    # a bad byte is an encoding error, not a malformed header
+    (b"3 \xff3\n1\n2\n3\n", r"d\.db:1: not UTF-8 text"),
+    (b"0 3\n", r"d\.db:1: dims must be positive"),
+    (b"3 3\n1\n2\n", r"d\.db: expected 3 row lines, got 2"),
+], ids=["empty-file", "non-integer-header", "one-token-header", "three-token-header",
+        "non-utf8-header", "non-positive-dims", "too-few-rows"])
 def test_dataset_header_and_row_count_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "d.db"
-    path.write_text(text)
+    path.write_bytes(text)
     with pytest.raises(InputFormatError, match=message):
         read_dataset(path)
 
