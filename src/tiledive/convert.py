@@ -65,8 +65,7 @@ def itemsets_to_tiles(r: ItemsetResult, data: BinaryDataset) -> ConversionResult
         if not rows:
             skipped += 1
             continue
-        tile = Tile(rows, itemset)
-        tiles.append(FreqTile(tile, empirical_frequency(tile, data)))
+        tiles.append(FreqTile(Tile(rows, itemset), 1.0))
     return ConversionResult(TileSet(data.dims, tuple(tiles)), skipped)
 
 

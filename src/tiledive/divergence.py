@@ -169,9 +169,7 @@ def distance(
     """
     if b is None:
         b = TileSet(t.dims)
-    if not (t.dims == u.dims == b.dims):
-        raise DimMismatch(f"dims differ: {t.dims}, {u.dims}, {b.dims}")
-
+    # `union` raises DimMismatch for a set on other dims
     model_m = _fit_joint(t.union(u, b), opts)
     model_tb = _fit_or_fast(t.union(b), opts)
     model_ub = _fit_or_fast(u.union(b), opts)

@@ -1,22 +1,20 @@
 r"""Reading and writing the package's input files.
 
 Every input file is UTF-8 text; a byte that is not is an input error
-that names its line.
+that names its line. In every file a line ends at "\n", with an
+optional "\r" before it. Other characters that `str.splitlines` breaks
+at ("\v", "\f", "\x1c" to "\x1e", "\x85", U+2028, U+2029), and a lone
+"\r", are whitespace inside a line, as for `str.split`.
 Dataset file: first line "n m", then n lines, line i listing the
-1-based column ids where row i has a 1, separated by spaces or tabs
-(empty line for an all-zero row); only blank lines may follow the n
-rows. A line ends at "\n", with an optional "\r" before it. Other
-characters that `str.splitlines` breaks at ("\v", "\f", "\x1c" to
-"\x1e", "\x85", U+2028, U+2029), and a lone "\r", are whitespace
-inside a line, as for `str.split`.
+1-based column ids where row i has a 1, separated by whitespace (empty
+line for an all-zero row); only blank lines may follow the n rows.
 Tile-set file: one JSON object per line,
 {"rows": [...], "cols": [...], "freq": 0.5}; "freq" is an optional JSON
 number, and "rows" and "cols" are JSON arrays of integer ids.
-Id lists in either format may use "a-b" range shorthand.
 Itemset file: one itemset per line, as its column ids.
+Id lists in these three formats may use "a-b" range shorthand.
 Clustering file: one "row cluster" pair of ids per line, each row
-exactly once.
-Tile-set, itemset and clustering files skip blank lines.
+exactly once; tile-set, itemset and clustering files skip blank lines.
 """
 
 from __future__ import annotations
@@ -57,11 +55,15 @@ def _expand_ids(tokens, upper: int) -> list[int]:
                 raise InputFormatError(f"id range {tok!r} runs past {upper}")
             ids.extend(range(lo_i, hi_i + 1))
         else:
-            try:
-                ids.append(int(tok))
-            except ValueError as exc:
-                raise InputFormatError(f"bad id {tok!r}") from exc
+            ids.append(_id(tok))
     return ids
+
+
+def _id(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise InputFormatError(f"bad id {tok!r}") from exc
 
 
 def _check_id(kind: str, i: int, upper: int) -> int:
@@ -187,7 +189,7 @@ def write_dataset(data: BinaryDataset, path) -> None:
 def _parse_lines(path, parse) -> list:
     """`parse` applied to each non-blank line; a failure names `path:line`."""
     out = []
-    for lineno, line in enumerate(_utf8(Path(path).read_bytes(), path, 1).splitlines(), start=1):
+    for lineno, line in enumerate(_utf8(Path(path).read_bytes(), path, 1).split("\n"), start=1):
         if line.strip():
             # A malformed value can surface as a TypeError too, e.g.
             # from "rows": 1 or "freq": null in a tile-set line.
@@ -231,10 +233,10 @@ def read_tileset(path, data: BinaryDataset) -> TileSet:
 
 def read_itemsets(path, data: BinaryDataset) -> ItemsetResult:
     """Read an itemset file of column ids of `data`."""
-    itemsets = _parse_lines(
-        path, lambda line: tuple(_check_id("column", int(tok), data.m) for tok in line.split())
-    )
-    return ItemsetResult(tuple(itemsets))
+    def parse(line: str) -> tuple[int, ...]:
+        return tuple(_check_id("column", j, data.m) for j in _expand_ids(line.split(), data.m))
+
+    return ItemsetResult(tuple(_parse_lines(path, parse)))
 
 
 def read_clustering(path, data: BinaryDataset) -> ClusteringResult:
@@ -249,8 +251,8 @@ def read_clustering(path, data: BinaryDataset) -> ClusteringResult:
         parts = line.split()
         if len(parts) != 2:
             raise InputFormatError("expected 'row cluster'")
-        row = _check_id("row", int(parts[0]), data.n)
-        cluster = int(parts[1])
+        row = _check_id("row", _id(parts[0]), data.n)
+        cluster = _id(parts[1])
         if cluster < 1:
             raise InputFormatError(f"cluster id {cluster} is below 1")
         if row in labels:

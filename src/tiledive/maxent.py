@@ -489,5 +489,5 @@ def exact_fastpath(ts: TileSet) -> EntryModel:
     for ft in ts.tiles:
         (ones if ft.alpha else zeros)[ft.tile.block()] = True
     if (ones & zeros).any():
-        _settle(_unfolded(ts, range(len(ts.tiles))))  # raises ConflictingExactTiles
+        _settle(_fold(ts))  # raises ConflictingExactTiles, as in `fit`
     return _MaskModel(dims=ts.dims, p=None, residual=0.0, masks=(ones, zeros))

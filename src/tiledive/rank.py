@@ -98,7 +98,6 @@ def fitamin(
     prefix = TileSet(tiles.dims)
     remaining = list(tiles.tiles)
     model_pb, current_d = model_bg, 1.0  # the empty prefix is at distance 1
-    order: list[FreqTile] = []
     gains: list[float] = []
     trace: list[float] = []
 
@@ -121,9 +120,8 @@ def fitamin(
 
         chosen = remaining.pop(pick)
         prefix = prefix.with_tile(chosen)
-        order.append(chosen)
         gains.append(current_d - d_after)
         trace.append(d_after)
         current_d = d_after
 
-    return Ranking(tuple(order), tuple(gains), tuple(trace), mode)
+    return Ranking(prefix.tiles, tuple(gains), tuple(trace), mode)

@@ -80,7 +80,6 @@ def fruits(
     # M = target+bg, and the Jaccard value of an empty area is 1 too.
     best = 1.0
     remaining = list(candidates.tiles)
-    selected: list[FreqTile] = []
     trace: list[float] = []
 
     while remaining:
@@ -111,8 +110,7 @@ def fruits(
             base |= {cand}
             joints = {base: pick_joint}
         chosen = chosen.with_tile(cand)
-        selected.append(cand)
         best = round_best
         trace.append(best)
 
-    return Redescription(tuple(selected), tuple(trace), best)
+    return Redescription(chosen.tiles, tuple(trace), best)

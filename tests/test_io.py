@@ -389,9 +389,51 @@ def test_clustering_row_listed_twice_names_line(tmp_path, toy_data):
     (read_clustering, "1 1\n2 1\n3 0\n4 1\n5 1\n", r"f\.txt:3: cluster id 0 is below 1"),
     (read_clustering, "1 1\n2 1\n3 1\n4 1\n9 1\n5 1\n", r"f\.txt:5: row id 9 outside \[1, 5\]"),
     (read_clustering, "1 1\n2 1\n4 1\n5 1\n", r"f\.txt: row 3 has no cluster; every row 1\.\.5 needs one"),
-], ids=["itemset-column", "cluster-id", "clustering-row", "clustering-missing-row"])
+    (read_itemsets, "1 x\n", r"f\.txt:1: bad id 'x'"),
+    (read_itemsets, "2-9\n", r"f\.txt:1: id range '2-9' runs past 5"),
+    (read_clustering, "1 1\n2 x\n", r"f\.txt:2: bad id 'x'"),
+    (read_clustering, "x 1\n", r"f\.txt:1: bad id 'x'"),
+    # a clustering line names one row and one cluster, so no range
+    (read_clustering, "1 1\n2-3 1\n", r"f\.txt:2: bad id '2-3'"),
+], ids=["itemset-column", "cluster-id", "clustering-row", "clustering-missing-row", "itemset-token",
+        "itemset-range", "cluster-token", "clustering-row-token", "clustering-range"])
 def test_out_of_range_id_names_file_line_and_id(tmp_path, toy_data, read, text, message):
     path = tmp_path / "f.txt"
     path.write_text(text)
     with pytest.raises(InputFormatError, match=message):
         read(path, toy_data)
+
+
+def test_itemset_line_takes_ranges(tmp_path, toy_data):
+    path = tmp_path / "sets.txt"
+    path.write_text("2-4\n")
+    assert read_itemsets(path, toy_data) == ItemsetResult(((2, 3, 4),))
+
+
+# Every input file ends a line only at "\n", as a dataset file does; the
+# other line breaks of str.splitlines are whitespace inside a line.
+@pytest.mark.parametrize("space", ["\f", "\x85", "\u2028", "\r"], ids=[
+    "form-feed", "next-line", "line-separator", "lone-cr",
+])
+@pytest.mark.parametrize("read, first, bad, message", [
+    (read_itemsets, "1{}2", "9 9", "column id 9 outside"),
+    (read_clustering, "1{}1", "9 1", "row id 9 outside"),
+    (read_tileset, " {} ", '{"rows": [9], "cols": [1]}', "row id 9 does not fit"),
+], ids=["itemsets", "clustering", "tileset"])
+def test_splitlines_breaks_do_not_end_a_line(tmp_path, toy_data, space, read, first, bad, message):
+    path = tmp_path / "f.txt"
+    path.write_bytes(f"{first.format(space)}\n{bad}\n".encode())
+    with pytest.raises(InputFormatError, match=rf"f\.txt:2: {message}"):
+        read(path, toy_data)
+
+
+def test_splitlines_breaks_join_records_on_one_line(tmp_path, toy_data):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"1 2\f3\n")
+    assert read_itemsets(path, toy_data) == ItemsetResult(((1, 2, 3),))
+    path.write_bytes(b'{"rows": [1], "cols": [1]}\f{"rows": [2], "cols": [2]}\n')
+    with pytest.raises(InputFormatError, match=r"f\.txt:1: "):
+        read_tileset(path, toy_data)
+    path.write_bytes(b"1 2\f3\n9 9\n")
+    with pytest.raises(InputFormatError, match=r"f\.txt:2: column id 9 outside"):
+        read_itemsets(path, toy_data)
