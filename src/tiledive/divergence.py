@@ -10,9 +10,11 @@ masks, so each KL term is ln 2 times a count of mask entries.
 
 `distance` fits four models and `_combine` turns them into the report.
 `distance_matrix` and `redescribe.fruits` fit the models that pairs
-share once. `fit` depends only on the set of tiles, not on their order,
-so a shared model is the one per-pair `distance` would fit, and values
-are bit-identical to per-pair `distance`.
+share once, and `fruits` computes the two KL terms that depend only on
+the joint, KL(M || right+bg) and KL(M || bg), once per joint. `fit`
+depends only on the set of tiles, not on their order, and `kl` is
+deterministic, so a shared model or term is the one per-pair `distance`
+would compute, and values are bit-identical to per-pair `distance`.
 """
 
 from __future__ import annotations
@@ -128,8 +130,15 @@ def _combine(
     model_tb: EntryModel,
     model_ub: EntryModel,
     model_b: EntryModel,
+    terms: tuple[float, float] | None = None,
 ) -> DistanceReport:
-    """The distance report from the models of t+u+b, t+b, u+b and b."""
+    """The distance report from the models of t+u+b, t+b, u+b and b.
+
+    KL(M || u+b) and KL(M || b) depend only on the joint M: a caller
+    that meets M again passes the first report's `kl_m_u` and `kl_m_b`
+    back as `terms`, and they are not recomputed. KL(M || t+b) is 0.0
+    without a pass when t+b is the joint, `model_tb is model_m`.
+    """
     if t.all_exact() and u.all_exact() and b.all_exact():
         # Each model is 0 or 1 on its area and 1/2 elsewhere, and M's area
         # holds the others', on which they agree: KL(M || X) is ln 2 per
@@ -141,9 +150,10 @@ def _combine(
         value = jaccard_distance(t, u, b)
         return DistanceReport(value, kl_m_t, kl_m_u, kl_m_b, used_jaccard_path=True)
 
-    kl_m_t = kl(model_m, model_tb)
-    kl_m_u = kl(model_m, model_ub)
-    kl_m_b = kl(model_m, model_b)
+    kl_m_t = 0.0 if model_tb is model_m else kl(model_m, model_tb)
+    if terms is None:
+        terms = kl(model_m, model_ub), kl(model_m, model_b)
+    kl_m_u, kl_m_b = terms
     if kl_m_b <= _ZERO_KL:
         value = 1.0
     else:

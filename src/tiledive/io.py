@@ -12,7 +12,9 @@ Tile-set file: one JSON object per line,
 {"rows": [...], "cols": [...], "freq": 0.5}; "freq" is an optional JSON
 number, and "rows" and "cols" are JSON arrays of integer ids.
 Itemset file: one itemset per line, as its column ids.
-Id lists in these three formats may use "a-b" range shorthand.
+Id lists in these three formats may use "a-b" range shorthand. In every
+file an id is a run of ASCII digits, as the dataset reader's numpy pass
+reads it: no "+" sign, no "_" separator, no digits of other scripts.
 Clustering file: one "row cluster" pair of ids per line, each row
 exactly once; tile-set, itemset and clustering files skip blank lines.
 """
@@ -43,12 +45,11 @@ def _expand_ids(tokens, upper: int) -> list[int]:
         tok = str(tok).strip()
         if not tok:
             continue
-        if "-" in tok[1:]:  # allow for a leading sign, reject "-3"
+        if "-" in tok[1:]:  # a leading "-" is a sign: "-3" is out of range
             lo, _, hi = tok.partition("-")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError as exc:
-                raise InputFormatError(f"bad id range {tok!r}") from exc
+            if not (_digits(lo) and _digits(hi)):
+                raise InputFormatError(f"bad id range {tok!r}")
+            lo_i, hi_i = int(lo), int(hi)
             if hi_i < lo_i:
                 raise InputFormatError(f"descending id range {tok!r}")
             if hi_i > upper:
@@ -59,11 +60,17 @@ def _expand_ids(tokens, upper: int) -> list[int]:
     return ids
 
 
+def _digits(tok: str) -> bool:
+    """Whether `tok` is a nonempty run of ASCII digits."""
+    return tok.isascii() and tok.isdigit()
+
+
 def _id(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError as exc:
-        raise InputFormatError(f"bad id {tok!r}") from exc
+    """An id token; a leading "-" is kept, so that the caller's range
+    check reports a negative id as out of range."""
+    if not _digits(tok[1:] if tok.startswith("-") else tok):
+        raise InputFormatError(f"bad id {tok!r}")
+    return int(tok)
 
 
 def _check_id(kind: str, i: int, upper: int) -> int:

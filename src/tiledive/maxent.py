@@ -108,8 +108,9 @@ class _Fold(NamedTuple):
 
     A grid cell stands for |row group| * |column group| entries, which
     share one probability. Each of `parts` is a tile of the grid, the
-    original tiles it stands for merged: its index pair on the grid (an
-    `np.ix_` pair, or a slice or an index array per side), the summed
+    original tiles it stands for merged: its index pair on the grid
+    (`_block`: a slice per side whose lines are a run, an index array
+    per other side, or an `np.ix_` pair of two arrays), the summed
     area of those tiles, their frequency, the index of the first of
     them in the tile set, that tile, their count, and its cells' block
     of `weight` (None when the fold is the identity). A part is a plain
@@ -145,13 +146,32 @@ def _canonical(ts: TileSet) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
+def _index(lines: np.ndarray) -> slice | np.ndarray:
+    """One side of a part's index, given its lines, sorted and distinct:
+    a slice when they are a run, so that indexing takes a view and
+    gathers nothing, and otherwise the lines themselves."""
+    first, last = int(lines[0]), int(lines[-1])
+    return slice(first, last + 1) if last - first == len(lines) - 1 else lines
+
+
+def _block(rows, cols, pair=None) -> tuple:
+    """A part's index pair from its sides, each a slice or an array of
+    lines (`_index`): an `np.ix_` pair only when both are arrays, and
+    then `pair`, the one the caller holds, if given."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols) if pair is None else pair
+
+
 def _unfolded(ts: TileSet, order) -> _Fold:
     """The identity fold, one part per tile, taken in `order`, positions
     of `ts.tiles`."""
     parts = []
     for j in order:
         ft = ts.tiles[j]
-        parts.append((ft.tile.block(), ft.tile.area, ft.alpha, j, ft.tile, 1, None))
+        rows, cols = pair = ft.tile.block()
+        block = _block(_index(rows.ravel()), _index(cols.ravel()), pair)
+        parts.append((block, ft.tile.area, ft.alpha, j, ft.tile, 1, None))
     return _Fold(ts.dims, parts)
 
 
@@ -260,22 +280,19 @@ def _fold(ts: TileSet) -> _Fold:
 
     # A part's grid lines on each side: a single line is its own group,
     # a side spanning every line takes all groups, and any other side
-    # the groups its lines fall in. A side given as a slice makes the
-    # part's values a view of the grid.
+    # the groups its lines fall in.
     def lines(axis: int, j: int, tile: Tile):
         count = len(tile.cols if axis else tile.rows)
         if count == 1:
             return slice(grid_line[axis][j], grid_line[axis][j] + 1)
         if count == ts.dims[axis]:
             return slice(None)
-        return np.flatnonzero(np.bincount(groups[axis][tile.block()[axis].ravel()]))
+        return _index(np.flatnonzero(np.bincount(groups[axis][tile.block()[axis].ravel()])))
 
     parts = []
     for j, area, count, name in merged.values():
         ft = tiles[j]
-        rows, cols = lines(0, j, ft.tile), lines(1, j, ft.tile)
-        arrays = isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray)
-        block = np.ix_(rows, cols) if arrays else (rows, cols)
+        block = _block(lines(0, j, ft.tile), lines(1, j, ft.tile))
         parts.append((block, area, ft.alpha, name, ts.tiles[name].tile, count, weight[block]))
     return _Fold(weight.shape, parts, groups, weight)
 

@@ -311,6 +311,27 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"{name}:2: " in result.output
 
+    # An id is a run of ASCII digits, in every file and at both ends of
+    # a range, though `int` takes a "_" separator, a "+" sign and the
+    # digits of other scripts (U+0663 is ARABIC-INDIC DIGIT THREE).
+    @pytest.mark.parametrize("args, name, text, line", [
+        (["distance", "--left", "t.tiles", "--right", "u.tiles"], "data.txt", "2 12\n1_0\n\u0663 +4\n", 2),
+        (["distance", "--left", "t.tiles", "--right", "u.tiles"], "data.txt", "2 12\n10\n\u0663 4\n", 3),
+        (["distance", "--left", "t.tiles", "--right", "u.tiles"], "data.txt", "2 12\n10\n3 +4\n", 3),
+        (["distance", "--left", "t.tiles", "--right", "u.tiles"], "data.txt", "2 12\n10\n1-+4\n", 3),
+        (["convert", "itemsets", "bad.txt"], "bad.txt", "1 2\n1_0 2\n", 2),
+        (["convert", "itemsets", "bad.txt"], "bad.txt", "1 2\n\u0663-4\n", 2),
+        (["convert", "clustering", "bad.txt"], "bad.txt", "1 1\n2 +1\n", 2),
+        (["distance", "--left", "bad.tiles", "--right", "u.tiles"], "bad.tiles",
+         '{"rows": [1], "cols": [1]}\n{"rows": ["+1"], "cols": [1]}\n', 2),
+    ], ids=["dataset-underscore", "dataset-arabic-indic", "dataset-plus", "dataset-range-plus",
+            "itemset-underscore", "itemset-range-arabic-indic", "cluster-plus", "tileset-plus"])
+    def test_id_that_is_not_ascii_digits_names_line(self, runner, workdir, args, name, text, line):
+        (workdir / name).write_text(text, encoding="utf-8")
+        result = runner.invoke(main, [*args, "--data", "data.txt"])
+        assert result.exit_code == 2
+        assert f"{name}:{line}: bad id" in result.output
+
     @pytest.mark.parametrize("option, name, text", [
         ("--data", "bad.txt", b"2 3\n1 \xff2\n3\n"),
         ("--left", "bad.tiles", b'{"rows": [1], "cols": [1]}\n{"rows": [\xff1], "cols": [1]}\n'),

@@ -465,13 +465,31 @@ class TestFold:
         rng = np.random.default_rng(12)
         data = random_dataset(rng, 12, 9)
         tiles = [Tile(rng.choice(np.arange(1, 13), 3, replace=False), range(1, 10)),
-                 Tile(range(1, 13), [2, 5]), Tile([1, 2], [1, 2, 3])]
+                 Tile(range(1, 13), [2, 5]), Tile([1, 2], [1, 2, 3]), Tile([4, 9], [6, 8])]
         ts = make_set(data, *tiles).union(density_tile(data))
         fold = _fold(ts)
         assert fold.groups is None and fold.shape == ts.dims
-        # one part per tile, in the canonical order fit takes them in
-        assert ([part[0] for part in fold.parts]
-                == [ts.tiles[j].tile.block() for j in _canonical(ts)])
+        # one part per tile, in the canonical order fit takes them in,
+        # and its index, slices or arrays, selects its tile's entries
+        canonical = [ts.tiles[j].tile for j in _canonical(ts)]
+        assert [part[4] for part in fold.parts] == canonical
+        entries = np.arange(ts.dims[0] * ts.dims[1]).reshape(ts.dims)
+        for part, tile in zip(fold.parts, canonical):
+            assert np.array_equal(entries[part[0]], entries[tile.block()])
+
+    def test_a_side_on_a_run_of_ids_is_a_slice(self):
+        # so indexing takes a view; only a tile with no run side keeps
+        # its np.ix_ pair
+        data = random_dataset(np.random.default_rng(13), 12, 9)
+        ts = make_set(data, Tile(range(3, 7), [1, 4, 5]), Tile([2, 8], range(2, 10)),
+                      Tile([1, 5], [2, 7]))
+        row_run, col_run, neither = (ft.tile for ft in ts.tiles)
+        blocks = {part[4]: part[0] for part in _fold(ts).parts}
+        rows, cols = blocks[row_run]
+        assert rows == slice(2, 6) and cols.tolist() == [0, 3, 4]
+        rows, cols = blocks[col_run]
+        assert rows.tolist() == [1, 7] and cols == slice(1, 9)
+        assert blocks[neither] is neither.block()
 
     def test_margin_groups_are_the_distinct_sums(self):
         data = random_dataset(np.random.default_rng(0), 500, 500, density=0.3)

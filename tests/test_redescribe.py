@@ -165,6 +165,37 @@ class TestSharedFits:
             assert len(fits) == distinct
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_kl_terms_of_a_joint_are_computed_once(self, monkeypatch, seed):
+        # a pool that holds the target, so joints recur
+        rng = np.random.default_rng(700 + seed)
+        data = random_dataset(rng, 8, 8, density=0.4)
+        target = random_annotated_set(rng, data, 3)
+        candidates = random_annotated_set(rng, data, 3).union(target)
+        background = background_tiles("density", data)
+        kls = []
+        real_kl = tiledive.divergence.kl
+        monkeypatch.setattr(tiledive.divergence, "kl", lambda a, b: kls.append(1) or real_kl(a, b))
+        r = fruits(target, candidates, background, FitOptions())
+
+        # Replay the rounds. Each evaluation computes KL(M || chosen+cand+bg)
+        # unless that set is the joint M; each distinct joint computes
+        # KL(M || target+bg) and KL(M || bg) once.
+        bg, tg = frozenset(background.tiles), frozenset(target.tiles)
+        chosen, remaining = frozenset(), list(candidates.tiles)
+        evaluations, per_evaluation, joints = 0, 0, set()
+        for pick in r.selected + (None,):
+            for cand in remaining:
+                t_bg = chosen | {cand} | bg
+                evaluations += 1
+                per_evaluation += t_bg != t_bg | tg
+                joints.add(t_bg | tg)
+            if pick is not None:
+                remaining.remove(pick)
+                chosen |= {pick}
+        assert len(joints) < evaluations
+        assert len(kls) == per_evaluation + 2 * len(joints)
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_joints_past_the_cap_are_refitted(self, monkeypatch, seed):
         # 3 candidates outside the target, and room to keep 1 joint model
         rng = np.random.default_rng(700 + seed)
