@@ -13,8 +13,9 @@ Tile-set file: one JSON object per line,
 number, and "rows" and "cols" are JSON arrays of integer ids.
 Itemset file: one itemset per line, as its column ids.
 Id lists in these three formats may use "a-b" range shorthand. In every
-file an id is a run of ASCII digits, as the dataset reader's numpy pass
-reads it: no "+" sign, no "_" separator, no digits of other scripts.
+file an id, like the dataset header's n and m, is a run of ASCII digits,
+as the dataset reader's numpy pass reads it: no "+" sign, no "_"
+separator, no digits of other scripts.
 Clustering file: one "row cluster" pair of ids per line, each row
 exactly once; tile-set, itemset and clustering files skip blank lines.
 """
@@ -99,10 +100,9 @@ def read_dataset(path) -> BinaryDataset:
     if raw[-1] != _NEWLINE:
         ends = np.append(ends, len(raw))
     header = _line(raw, ends, 0, path).split()
-    try:
-        n, m = map(int, header)
-    except ValueError as exc:
-        raise InputFormatError(f"{path}:1: expected header 'n m'") from exc
+    if len(header) != 2 or not all(map(_digits, header)):
+        raise InputFormatError(f"{path}:1: expected header 'n m'")
+    n, m = map(int, header)
     if n < 1 or m < 1:
         raise InputFormatError(f"{path}:1: dims must be positive")
     if len(ends) < n + 1:

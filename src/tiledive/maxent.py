@@ -5,11 +5,12 @@ tiles factorizes into independent per-entry Bernoulli variables, so a
 model is just an n x m probability matrix. An entry's log-odds is the
 sum of one multiplier per noisy tile covering it, so the entries
 covered by the same set of noisy tiles -- an entry class -- share one
-probability. Fitting is one damped-Newton solve for the multipliers,
-with every sum taken over entry classes weighted by their size. Rows,
-or columns, that a swap maps onto the same tile set share their
-probabilities too, so the fit runs on a grid of such row and column
-groups: under a margin background, one per distinct margin.
+probability. A laminar set (tiles nested or disjoint) takes one linear
+solve and no Newton step; only when classes outnumber tiles does a
+damped-Newton solve find the multipliers, summing over entry classes
+weighted by their size. Rows, or columns, that a swap maps onto the same
+tile set share their probabilities too, so the fit runs on a grid of
+such row and column groups: under a margin background, one per distinct margin.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ _NEWTON_STEPS = 500
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the fit: its one Newton solve stops once every noisy
-    tile's model frequency is within `tolerance` of its target."""
+    """Knobs for the fit: a laminar set needs no Newton step, Newton runs only
+    when classes outnumber tiles, and each noisy tile must end within `tolerance`."""
 
     tolerance: float = 1e-6  # max permitted per-tile frequency residual
 
@@ -401,15 +402,36 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -s))
 
 
+def _square_solve(sizes, tiles, classes, targets, areas, tolerance):
+    """Each class's probability from one square solve (see `fit`), or None."""
+    k, outside = len(targets), len(sizes) - len(targets)
+    if outside != (classes.min(initial=1) > 0):  # square: only class 0 may lie outside all tiles
+        return None
+    incidence = np.zeros((k, k))
+    incidence[tiles, classes - outside] = 1.0
+    if np.linalg.slogdet(incidence)[1] < -0.5:  # log |det|: det is an integer, 0 if singular
+        return None
+    mass = np.linalg.solve(incidence, targets)
+    q = mass / sizes[outside:]
+    residual = np.max(np.abs(incidence @ mass - targets) / areas, initial=0.0)
+    if not (residual <= tolerance and q.min(initial=0.5) > 0.0 and q.max(initial=0.5) < 1.0):
+        return None
+    return np.concatenate((np.full(outside, 0.5), q))  # 1/2 outside every open tile
+
+
 def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     """Fit the factorized maximum-entropy model for a tile set.
 
     Folds interchangeable rows and columns into a grid of groups, then
     settles the cells that exact tiles and other targets on the
     attainable boundary force to 0 or 1. The free cells left are
-    grouped into entry classes, each weighing the entries it holds, and
-    one damped Newton solve finds the tile multipliers: a class's
-    log-odds is the sum of the multipliers of the tiles covering it.
+    grouped into entry classes, each weighing the entries it holds. A laminar
+    set needs no Newton step: its open tiles cover as many classes as there
+    are tiles, and if that square 0/1 incidence is invertible, the one q
+    meeting the targets is the model when inside (0, 1), as any class log-odds
+    vector is a sum of tile multipliers. Only when classes outnumber tiles (or
+    that q fails) does a damped Newton solve find the multipliers: a class's
+    log-odds is the sum of those of the tiles covering it.
     The dual objective -- sum over classes of size times
     log(1 + e^log-odds), minus the multipliers dotted with the targets
     -- is convex and smooth, and its gradient is each tile's model mass
@@ -433,53 +455,56 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     label, sizes, tiles, classes, pair_keys, pair_classes = _entry_classes(
         [fold.parts[j][0] for j in active], free, weights
     )
-    k = len(active)
     areas = np.array([fold.parts[j][1] for j in active], dtype=float)
+    q = _square_solve(sizes, tiles, classes, targets, areas, opts.tolerance)
+    if q is None:  # classes outnumber open tiles, or q failed: Newton
+        k = len(active)
 
-    def class_log_odds(x):
-        return np.bincount(classes, weights=x[tiles], minlength=len(sizes))
+        def class_log_odds(x):
+            return np.bincount(classes, weights=x[tiles], minlength=len(sizes))
 
-    def tile_sums(per_class):
-        return np.bincount(tiles, weights=per_class[classes], minlength=k)
+        def tile_sums(per_class):
+            return np.bincount(tiles, weights=per_class[classes], minlength=k)
 
-    multipliers = np.zeros(k)
-    s = class_log_odds(multipliers)
-    objective = float(sizes @ np.logaddexp(0.0, s) - multipliers @ targets)
-    for _ in range(_NEWTON_STEPS):
-        q = _sigmoid(s)
-        grad = tile_sums(sizes * q) - targets
-        residual = float(np.max(np.abs(grad) / areas, initial=0.0))
-        if residual <= opts.tolerance:
-            break
-        curvature = sizes * q * (1.0 - q)
-        # pairs below the diagonal; the result is int64 when none exist
-        off = np.bincount(pair_keys, curvature[pair_classes], minlength=k * k).reshape(k, k)
-        diagonal = tile_sums(curvature)
-        ridge = 1e-12 * max(float(diagonal.max()), 1.0)
-        hess = off + off.T + np.diag(diagonal + ridge)
-        step = np.linalg.solve(hess, -grad)
-        descent = float(grad @ step)
-        if descent >= 0.0:  # numerical breakdown: fall back to steepest descent
-            step = -grad
+        multipliers = np.zeros(k)
+        s = class_log_odds(multipliers)
+        objective = float(sizes @ np.logaddexp(0.0, s) - multipliers @ targets)
+        for _ in range(_NEWTON_STEPS):
+            q = _sigmoid(s)
+            grad = tile_sums(sizes * q) - targets
+            residual = float(np.max(np.abs(grad) / areas, initial=0.0))
+            if residual <= opts.tolerance:
+                break
+            curvature = sizes * q * (1.0 - q)
+            # pairs below the diagonal; the result is int64 when none exist
+            off = np.bincount(pair_keys, curvature[pair_classes], minlength=k * k).reshape(k, k)
+            diagonal = tile_sums(curvature)
+            ridge = 1e-12 * max(float(diagonal.max()), 1.0)
+            hess = off + off.T + np.diag(diagonal + ridge)
+            step = np.linalg.solve(hess, -grad)
             descent = float(grad @ step)
-        # Backtracking: accept on sufficient objective decrease, or --
-        # once improvements drop below float resolution of the objective
-        # -- on a shrinking gradient residual.
-        scale = 1.0
-        for _ in range(60):
-            cand = multipliers + scale * step
-            s2 = class_log_odds(cand)
-            obj2 = float(sizes @ np.logaddexp(0.0, s2) - cand @ targets)
-            if obj2 <= objective + 1e-4 * scale * descent:
-                break
-            res2 = np.max(np.abs(tile_sums(sizes * _sigmoid(s2)) - targets) / areas)
-            if res2 <= 0.5 * residual:
-                break
-            scale *= 0.5
-        multipliers, s, objective = cand, s2, obj2
+            if descent >= 0.0:  # numerical breakdown: fall back to steepest descent
+                step = -grad
+                descent = float(grad @ step)
+            # Backtracking: accept on sufficient objective decrease, or --
+            # once improvements drop below float resolution of the objective
+            # -- on a shrinking gradient residual.
+            scale = 1.0
+            for _ in range(60):
+                cand = multipliers + scale * step
+                s2 = class_log_odds(cand)
+                obj2 = float(sizes @ np.logaddexp(0.0, s2) - cand @ targets)
+                if obj2 <= objective + 1e-4 * scale * descent:
+                    break
+                res2 = np.max(np.abs(tile_sums(sizes * _sigmoid(s2)) - targets) / areas)
+                if res2 <= 0.5 * residual:
+                    break
+                scale *= 0.5
+            multipliers, s, objective = cand, s2, obj2
+        q = _sigmoid(s)
 
     eps = np.finfo(float)
-    p[free] = np.clip(_sigmoid(s), eps.tiny, 1.0 - eps.epsneg)[label]
+    p[free] = np.clip(q, eps.tiny, 1.0 - eps.epsneg)[label]
     residual = max((abs(_mass(p[block], weight) / area - alpha)
                     for block, area, alpha, *_, weight in fold.parts), default=0.0)
     if residual > opts.tolerance:

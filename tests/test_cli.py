@@ -332,6 +332,20 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"{name}:{line}: bad id" in result.output
 
+    # The header's n and m follow the id rule too: with `int`, each of
+    # these headers read as 5 x 5 (U+0665 is ARABIC-INDIC DIGIT FIVE),
+    # and "+2 1_2" as 2 x 12.
+    @pytest.mark.parametrize("header", ["+5 5", "5 0_5", "\u0665 5", "+2 1_2", "5 -5"],
+                             ids=["plus", "underscore", "arabic-indic", "plus-and-underscore",
+                                  "minus"])
+    def test_header_that_is_not_ascii_digits_is_input_error(self, runner, workdir, header):
+        (workdir / "data.txt").write_text(header + DATA[DATA.index("\n"):], encoding="utf-8")
+        result = runner.invoke(
+            main, ["distance", "--data", "data.txt", "--left", "t.tiles", "--right", "u.tiles"]
+        )
+        assert result.exit_code == 2
+        assert "data.txt:1: expected header 'n m'" in result.output
+
     @pytest.mark.parametrize("option, name, text", [
         ("--data", "bad.txt", b"2 3\n1 \xff2\n3\n"),
         ("--left", "bad.tiles", b'{"rows": [1], "cols": [1]}\n{"rows": [\xff1], "cols": [1]}\n'),

@@ -18,6 +18,7 @@ from tiledive import (
     margin_tiles,
     model_frequency,
 )
+import tiledive.maxent
 from tiledive.maxent import FitOptions, _canonical, _fold, _settle, _unfolded, bernoulli_update
 from tiledive.errors import (
     ConflictingExactTiles,
@@ -455,6 +456,82 @@ class TestMaximumEntropy:
         for ft in ts:
             assert abs(float(p[ft.tile.block()].mean()) - ft.alpha) <= 1e-6
         assert logit_residual(ts, p) > 1e-8
+
+
+def laminar_rectangles(rng) -> list[Tile]:
+    """Three disjoint chains of nested rectangles on a 30 x 30 matrix:
+    8 x 8 holding 5 x 5 holding 2 x 2, one chain in each band of 10 rows."""
+    tiles = []
+    for band in range(3):
+        row, col = 10 * band + int(rng.integers(1, 4)), int(rng.integers(1, 24))
+        for inset, side in ((0, 8), (1, 5), (2, 2)):
+            tiles.append(Tile(range(row + inset, row + inset + side),
+                              range(col + inset, col + inset + side)))
+    return tiles
+
+
+class TestClosedForm:
+    """When the open tiles cover as many entry classes as there are
+    tiles, as a laminar set (tiles nested or disjoint) does, `fit`
+    solves the square constraints once and runs no Newton step."""
+
+    @staticmethod
+    def count_sigmoid(monkeypatch) -> list:
+        calls = []
+        sigmoid = tiledive.maxent._sigmoid
+        monkeypatch.setattr(tiledive.maxent, "_sigmoid", lambda s: calls.append(1) or sigmoid(s))
+        return calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("background", ["density", "none", "rows alone"])
+    def test_laminar_set_is_fitted_without_newton(self, monkeypatch, seed, background):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, 30, 30, density=0.3)
+        rects = make_set(data, *laminar_rectangles(rng))
+        ts = {"density": rects.union(density_tile(data)), "none": rects,
+              "rows alone": background_tiles("rows", data)}[background]
+        calls = self.count_sigmoid(monkeypatch)
+        model = fit(ts)
+        assert calls == []
+        for ft in ts:
+            assert abs(model_frequency(ft.tile, model) - ft.alpha) <= 1e-12
+        assert logit_residual(ts, model.p) <= 1e-8
+
+    def test_rows_crossing_the_rectangles_still_run_newton(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        data = random_dataset(rng, 30, 30, density=0.3)
+        ts = make_set(data, *laminar_rectangles(rng)).union(background_tiles("rows", data))
+        calls = self.count_sigmoid(monkeypatch)
+        model = fit(ts)
+        assert calls
+        assert_meets_tiles_and_settles_only_forced(ts, model)
+        assert logit_residual(ts, model.p) <= 1e-8
+
+    def test_square_but_singular_set_runs_newton(self, monkeypatch):
+        # Rows 1-2 and 3-4 share their sums, and columns 1-2 and 3-4
+        # theirs, so the fold leaves 2 row parts and 2 column parts on a
+        # 2 x 2 grid: 4 classes for 4 tiles, but the two row parts cover
+        # the same classes as the two column parts, so the incidence is
+        # singular and the targets leave one direction free.
+        data = BinaryDataset([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [1, 1, 0, 1]])
+        ts = background_tiles("columns+rows", data)
+        assert len(_fold(ts).parts) == 4
+        calls = self.count_sigmoid(monkeypatch)
+        model = fit(ts, TIGHT)
+        assert calls
+        assert_meets_tiles_and_settles_only_forced(ts, model)
+        assert logit_residual(ts, model.p) <= 1e-8
+
+    def test_square_but_infeasible_set_raises_no_convergence(self):
+        # the 1 x 1 tile wants mass 0.9 of its 2 x 2 tile's 0.4, so the
+        # square solve puts -0.5 on the other 3 entries; Newton runs and
+        # fails
+        ts = TileSet((2, 2), (FreqTile(Tile([1, 2], [1, 2]), 0.1),
+                              FreqTile(Tile([1], [1]), 0.9)))
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence):
+            fit(ts)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFold:
