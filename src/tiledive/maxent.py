@@ -5,12 +5,14 @@ tiles factorizes into independent per-entry Bernoulli variables, so a
 model is just an n x m probability matrix. An entry's log-odds is the
 sum of one multiplier per noisy tile covering it, so the entries
 covered by the same set of noisy tiles -- an entry class -- share one
-probability. A laminar set (tiles nested or disjoint) takes one linear
-solve and no Newton step; only when classes outnumber tiles does a
-damped-Newton solve find the multipliers, summing over entry classes
-weighted by their size. Rows, or columns, that a swap maps onto the same
-tile set share their probabilities too, so the fit runs on a grid of
-such row and column groups: under a margin background, one per distinct margin.
+probability; each open tile sets one bit in the cells it covers, and
+one sort of those signatures numbers the classes. A laminar set (tiles
+nested or disjoint) takes one linear solve and no Newton step; only
+when classes outnumber tiles does a damped-Newton solve find the
+multipliers, summing over entry classes weighted by their size. Rows,
+or columns, that a swap maps onto the same tile set share their
+probabilities too, so the fit runs on a grid of such row and column
+groups: under a margin background, one per distinct margin.
 """
 
 from __future__ import annotations
@@ -139,9 +141,8 @@ def _canonical(ts: TileSet) -> list[int]:
     """The positions of `ts.tiles` in an order that depends only on each
     tile and frequency: by first row, first column, ids and frequency.
     The first ids settle most pairs before an id tuple is compared, and
-    tiles that start on one line stay together, which keeps `_split`'s
-    label ranges short (by tile hash, a 1,000-tile margin fit took 15%
-    longer)."""
+    tiles that start on one line stay together (by tile hash instead, a
+    1,000-tile margin fit took 8% longer)."""
     keys = [(ft.tile.rows[0], ft.tile.cols[0], ft.tile.rows, ft.tile.cols, ft.alpha)
             for ft in ts.tiles]
     return sorted(range(len(keys)), key=keys.__getitem__)
@@ -176,26 +177,28 @@ def _unfolded(ts: TileSet, order) -> _Fold:
     return _Fold(ts.dims, parts)
 
 
-def _split(label: np.ndarray, blocks, fresh: int) -> list[np.ndarray]:
-    """Split, in place, every class of `label` that each block meets.
+def _number(label: np.ndarray, blocks, shape: tuple, at) -> tuple[np.ndarray, list]:
+    """Number the cells at `at`, an index into an array of `shape`, by
+    the set of `blocks` holding them, then by their int64 `label`.
 
-    The cells of a block that hold label l move to a new label, one per
-    l the block meets, numbered from `fresh` on in the order of l, so
-    two cells end with one label exactly when they started with one
-    and the same blocks hold them. Returns, per block, the labels it
-    split, in that order.
+    Block b is bit b % 32 of a cell's word b // 32, which one `|=` on
+    the block sets. One sort of the keys (word, number so far) numbers
+    each word in turn, so numbers run from 0 in the order of the set
+    read as a binary number, the last block its top bit, then of
+    `label`. Returns the numbers and, per word, its sorted distinct
+    keys, which hold each number's word and number before.
     """
-    splits = []
-    for block in blocks:
-        old = label[block]
-        low = int(old.min())  # scan only the label range the block meets
-        old = old - low
-        touched = np.zeros(int(old.max()) + 1, dtype=bool)
-        touched[old] = True
-        label[block] = (np.cumsum(touched) + (fresh - 1))[old]
-        splits.append(low + np.flatnonzero(touched))
-        fresh += len(splits[-1])
-    return splits
+    numbered = []
+    for start in range(0, max(len(blocks), 1), 32):  # no block: one pass numbers the labels
+        word = np.zeros(shape, dtype=np.uint64)
+        for bit, block in enumerate(blocks[start:start + 32]):
+            word[block] |= 1 << bit
+        key = (word[at] << 32) | label.view(np.uint64)
+        keys = np.sort(key)
+        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+        label = np.searchsorted(keys, key)
+        numbered.append(keys)
+    return label, numbered
 
 
 def _line_groups(count: int, spans: list[np.ndarray], own: dict[int, list]) -> np.ndarray:
@@ -203,13 +206,12 @@ def _line_groups(count: int, spans: list[np.ndarray], own: dict[int, list]) -> n
     lines of a tile with 2 or more of them, short of all) that hold the
     line, and `own[line]`, the keys of the single-line tiles on it.
     Returns each line's group."""
-    label = np.zeros(count, dtype=np.intp)
+    label = np.zeros(count, dtype=np.int64)
     signatures: dict[tuple, int] = {}
     lines = np.fromiter(own, dtype=np.intp, count=len(own))
     label[lines] = [signatures.setdefault(tuple(sorted(keys)), len(signatures) + 1)
                     for keys in own.values()]
-    _split(label, spans, len(signatures) + 1)
-    return (np.cumsum(np.bincount(label) > 0) - 1)[label]
+    return _number(label, spans, (count,), slice(None))[0]
 
 
 def _fold(ts: TileSet) -> _Fold:
@@ -358,43 +360,45 @@ def _settle(fold: _Fold) -> tuple[np.ndarray, list, np.ndarray]:
 
 
 def _entry_classes(cover: list, free: np.ndarray, weights=None):
-    """Group the free cells by the set of tiles covering them.
+    """Group the free cells by the set of tiles covering them (`_number`).
 
-    Each tile splits every class it touches, so a class's label links
-    back, one covering tile per link, through the labels it was split
-    from. Walking those chains gives the sparse tile-by-class incidence
-    and, for the k x k Hessian, each pair of distinct tiles sharing a
-    class once, as the flat index u * k + t of u above t in the chain
-    (so t < u), in O(sum over classes of squared cover count) memory.
-    `cover` holds the tiles' index pairs, and `weights` each free
-    cell's weight in row-major order, or None for one entry each.
-    Returns each free cell's class (row-major), the class sizes, the
-    incidence (tiles, classes) and the pairs (flat index, class).
-    Classes left without free cells are dropped.
+    Classes come in the order of that set, so the cells no tile covers,
+    if any, are class 0. Each class's words, traced back through the
+    keys that numbered them and unpacked, give the tile-by-class
+    incidence, class-major with the tiles ascending. `cover` holds the
+    tiles' index pairs, and `weights` each free cell's weight in
+    row-major order, or None for one entry each. Returns each free
+    cell's class (row-major), the class sizes and the incidence (tiles,
+    classes).
     """
-    label = np.zeros(free.shape, dtype=np.intp)  # label 0: covered by no tile
-    parent = [np.zeros(1, dtype=np.intp), *_split(label, cover, 1)]
-    k = len(cover)
-    tile_of = np.repeat(np.arange(-1, k), [len(split) for split in parent])
-    parent = np.concatenate(parent)
-    sizes = np.bincount(label[free], weights, minlength=len(parent))
-    node = np.flatnonzero(sizes)  # each live class's label, walked up its chain
-    cls = np.arange(len(node))
-    none = np.zeros(0, dtype=np.intp)
-    tiles, classes, keys, owners, above = [none], [none], [none], [none], []
-    while (covered := node > 0).any():
-        node, cls = node[covered], cls[covered]
-        above = [u[covered] for u in above]  # tiles met further up the chain
-        t = tile_of[node]
-        tiles.append(t)
-        classes.append(cls)
-        keys += [u * k + t for u in above]
-        owners += [cls] * len(above)
-        above.append(t)
-        node = parent[node]
-    label = (np.cumsum(sizes > 0) - 1)[label[free]]
-    sizes = sizes[sizes > 0].astype(float)
-    return label, sizes, *map(np.concatenate, (tiles, classes, keys, owners))
+    start = np.zeros(np.count_nonzero(free), dtype=np.int64)
+    label, numbered = _number(start, cover, free.shape, free)
+    sizes = np.bincount(label, weights).astype(float)
+    words = np.zeros((len(sizes), len(numbered)), dtype="<u4")
+    before = np.arange(len(sizes))
+    for j in reversed(range(len(numbered))):  # each class's words, back to the first
+        key = numbered[j][before]
+        words[:, j], before = key >> 32, key & 0xFFFFFFFF
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=len(cover), bitorder="little")
+    classes, tiles = np.nonzero(bits)
+    return label, sizes, tiles, classes
+
+
+def _pairs(tiles: np.ndarray, classes: np.ndarray, k: int):
+    """Each pair of distinct tiles sharing a class, once, for the k x k
+    Hessian: the flat index u * k + t of the pair (t < u) and the class.
+    In the incidence, class-major with the tiles ascending, entry e pairs
+    with e + d while both hold one class: one pass per cover depth d, in
+    O(pairs + incidence) memory."""
+    cover = np.bincount(classes)  # each class's tile count
+    keys, owners = np.empty((2, int(cover @ (cover - 1)) // 2), dtype=np.intp)
+    owner = np.append(classes, -1)  # past the end: no class
+    e, d, at = np.arange(len(classes)), 1, 0
+    while len(e := e[owner[e + d] == owner[e]]):
+        keys[at:at + len(e)] = tiles[e + d] * k + tiles[e]
+        owners[at:at + len(e)] = classes[e]
+        at, d = at + len(e), d + 1
+    return keys, owners
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
@@ -402,8 +406,12 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -s))
 
 
-def _square_solve(sizes, tiles, classes, targets, areas, tolerance):
-    """Each class's probability from one square solve (see `fit`), or None."""
+def _square_solve(sizes, tiles, classes, targets, areas, tolerance, parts):
+    """Each class's probability from one square solve (see `fit`), or None.
+    The solution is the only one, so a class mass outside [0, size] by
+    more than `_BOUNDARY_EPS` means no model meets the targets: raises
+    InfeasibleTile, naming the class's first tile in input order among
+    `parts`, the open tiles' parts."""
     k, outside = len(targets), len(sizes) - len(targets)
     if outside != (classes.min(initial=1) > 0):  # square: only class 0 may lie outside all tiles
         return None
@@ -412,9 +420,18 @@ def _square_solve(sizes, tiles, classes, targets, areas, tolerance):
     if np.linalg.slogdet(incidence)[1] < -0.5:  # log |det|: det is an integer, 0 if singular
         return None
     mass = np.linalg.solve(incidence, targets)
-    q = mass / sizes[outside:]
-    residual = np.max(np.abs(incidence @ mass - targets) / areas, initial=0.0)
-    if not (residual <= tolerance and q.min(initial=0.5) > 0.0 and q.max(initial=0.5) < 1.0):
+    if not np.max(np.abs(incidence @ mass - targets) / areas, initial=0.0) <= tolerance:
+        return None
+    size = sizes[outside:]
+    bad = np.flatnonzero((mass < -_BOUNDARY_EPS) | (mass > size + _BOUNDARY_EPS))
+    if len(bad):
+        c = bad[0]
+        _, _, alpha, first, tile, *_ = min((parts[t] for t in tiles[classes == c + outside]),
+                                           key=lambda part: part[3])
+        raise InfeasibleTile(f"tile #{first + 1} ({tile}) wants frequency {alpha} but the open "
+                             f"tiles' targets put mass {mass[c]:.6g} on {size[c]:g} of its entries")
+    q = mass / size
+    if not (q.min(initial=0.5) > 0.0 and q.max(initial=0.5) < 1.0):
         return None
     return np.concatenate((np.full(outside, 0.5), q))  # 1/2 outside every open tile
 
@@ -444,21 +461,22 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
     of the set of tiles: any order of `ts.tiles` gives the same `p`, bit
     for bit, and the same residual.
 
-    Raises InfeasibleTile for an unattainable target, and NoConvergence
-    when a tile ends further than `opts.tolerance` from its target.
+    Raises InfeasibleTile for an unattainable target, or a square q with a
+    class mass outside its range, and NoConvergence when a tile ends
+    further than `opts.tolerance` from its target.
     """
     # Only the tiles the settle pass leaves open enter the solve.
     fold = _fold(ts)
     p, active, targets = _settle(fold)
     free = p == 0.5  # settled entries hold 0 or 1
     weights = None if fold.weight is None else fold.weight[free]
-    label, sizes, tiles, classes, pair_keys, pair_classes = _entry_classes(
-        [fold.parts[j][0] for j in active], free, weights
-    )
-    areas = np.array([fold.parts[j][1] for j in active], dtype=float)
-    q = _square_solve(sizes, tiles, classes, targets, areas, opts.tolerance)
+    parts = [fold.parts[j] for j in active]
+    label, sizes, tiles, classes = _entry_classes([part[0] for part in parts], free, weights)
+    areas = np.array([part[1] for part in parts], dtype=float)
+    q = _square_solve(sizes, tiles, classes, targets, areas, opts.tolerance, parts)
     if q is None:  # classes outnumber open tiles, or q failed: Newton
         k = len(active)
+        pair_keys, pair_classes = _pairs(tiles, classes, k)
 
         def class_log_odds(x):
             return np.bincount(classes, weights=x[tiles], minlength=len(sizes))

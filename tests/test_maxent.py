@@ -19,7 +19,17 @@ from tiledive import (
     model_frequency,
 )
 import tiledive.maxent
-from tiledive.maxent import FitOptions, _canonical, _fold, _settle, _unfolded, bernoulli_update
+from tiledive.maxent import (
+    FitOptions,
+    _block,
+    _canonical,
+    _entry_classes,
+    _fold,
+    _pairs,
+    _settle,
+    _unfolded,
+    bernoulli_update,
+)
 from tiledive.errors import (
     ConflictingExactTiles,
     InfeasibleTile,
@@ -310,18 +320,20 @@ class TestFitContracts:
             fit(ts, FitOptions(tolerance=1e-9))
         assert time.perf_counter() - start < 1.0
 
-    def test_unattainable_targets_past_the_settle_pass_raise_no_convergence(self):
+    def test_unattainable_targets_past_the_settle_pass_raise_infeasible(self):
         # Column 2 carries mass 0.2 but its entry (2, 2) alone wants 0.9,
         # so (1, 2) would need -0.7. Each target lies inside its own
-        # range, so nothing settles, and Newton's multipliers diverge
-        # while its line search halves the step.
+        # range, so nothing settles, but the open tiles cover as many
+        # classes as there are tiles, and the square solve's one
+        # solution needs (1, 1) at 1.2: the first tile covering (1, 1)
+        # is named.
         ts = TileSet((2, 2), (
             FreqTile(Tile([1, 2], [2]), 0.1),
             FreqTile(Tile([2], [2]), 0.9),
             FreqTile(Tile([1], [1, 2]), 0.25),
         ))
         start = time.perf_counter()
-        with pytest.raises(NoConvergence):
+        with pytest.raises(InfeasibleTile, match=r"tile #3 \(Tile\(rows=\[1\], cols=\[1, 2\]\)\)"):
             fit(ts)
         assert time.perf_counter() - start < 1.0
 
@@ -522,16 +534,102 @@ class TestClosedForm:
         assert_meets_tiles_and_settles_only_forced(ts, model)
         assert logit_residual(ts, model.p) <= 1e-8
 
-    def test_square_but_infeasible_set_raises_no_convergence(self):
+    def test_square_but_infeasible_set_raises_infeasible_tile(self, monkeypatch):
         # the 1 x 1 tile wants mass 0.9 of its 2 x 2 tile's 0.4, so the
-        # square solve puts -0.5 on the other 3 entries; Newton runs and
-        # fails
+        # square solve puts -0.5 on the other 3 entries, which only the
+        # 2 x 2 tile covers: no model meets both, and no Newton step runs
         ts = TileSet((2, 2), (FreqTile(Tile([1, 2], [1, 2]), 0.1),
                               FreqTile(Tile([1], [1]), 0.9)))
+        calls = self.count_sigmoid(monkeypatch)
         start = time.perf_counter()
-        with pytest.raises(NoConvergence):
+        with pytest.raises(InfeasibleTile, match=r"tile #1 \(Tile\(rows=\[1, 2\], cols=\[1, 2\]\)\)"):
             fit(ts)
         assert time.perf_counter() - start < 1.0
+        assert calls == []
+
+    def test_targets_at_the_boundary_within_rounding_still_run_newton(self, monkeypatch):
+        # the 1 x 1 tile holds all of its 3 x 1 tile's mass, so the
+        # square solve leaves the other 2 entries -1.1e-16 in rounding:
+        # a face that no tile settles, not an infeasible set
+        ts = TileSet((3, 1), (FreqTile(Tile([1, 2, 3], [1]), 0.3),
+                              FreqTile(Tile([1], [1]), 0.9)))
+        calls = self.count_sigmoid(monkeypatch)
+        model = fit(ts)
+        assert calls
+        assert_meets_tiles_and_settles_only_forced(ts, model)
+
+    def test_square_fits_build_no_hessian_pairs(self, monkeypatch):
+        calls = []
+        pairs = tiledive.maxent._pairs
+        monkeypatch.setattr(tiledive.maxent, "_pairs", lambda *a: calls.append(1) or pairs(*a))
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            data = random_dataset(rng, 30, 30, density=0.3)
+            rects = make_set(data, *laminar_rectangles(rng))
+            for ts in (rects, rects.union(density_tile(data)), background_tiles("rows", data)):
+                fit(ts)
+        assert calls == []
+        # the set of `test_rows_crossing_the_rectangles_still_run_newton`
+        rng = np.random.default_rng(1)
+        data = random_dataset(rng, 30, 30, density=0.3)
+        fit(make_set(data, *laminar_rectangles(rng)).union(background_tiles("rows", data)))
+        assert calls
+
+
+def _draw_block(rng, n: int, m: int) -> tuple:
+    """A tile's index pair on an n x m grid, in each form a part takes:
+    two slices, a slice and an index array, or an `np.ix_` pair."""
+    def side(count):
+        size = int(rng.integers(1, count + 1))
+        if rng.random() < 0.5:
+            first = int(rng.integers(0, count - size + 1))
+            return slice(first, first + size)
+        return np.sort(rng.choice(count, size, replace=False))
+
+    return _block(side(n), side(m))
+
+
+class TestEntryClasses:
+    """`_entry_classes` groups the free cells by the set of tiles covering
+    them, and `_pairs` lists each pair of tiles sharing a class once:
+    both against a cell-by-cell brute force."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.one_of(st.integers(0, 8), st.integers(30, 140)),
+        weighted=st.booleans(),
+        free_share=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_classes_incidence_and_pairs_match_brute_force(self, seed, k, weighted, free_share):
+        rng = np.random.default_rng(seed)
+        n, m = (int(d) for d in rng.integers(1, 13, size=2))
+        cover = [_draw_block(rng, n, m) for _ in range(k)]
+        free = rng.random((n, m)) < free_share
+        weights = rng.integers(1, 9, size=int(free.sum())).astype(float) if weighted else None
+        label, sizes, tiles, classes = _entry_classes(cover, free, weights)
+
+        masks = np.zeros((k, n, m), dtype=bool)
+        for t, block in enumerate(cover):
+            masks[t][block] = True
+        sets = [frozenset(np.flatnonzero(masks[:, i, j]).tolist()) for i, j in np.argwhere(free)]
+        # one class per distinct set of covering tiles, numbered from 0
+        class_of = dict(zip(sets, label.tolist()))
+        assert len(set(class_of.values())) == len(class_of) == len(sizes)
+        assert [class_of[cell] for cell in sets] == label.tolist()
+        assert frozenset() not in class_of or class_of[frozenset()] == 0
+        each = np.ones(len(sets)) if weights is None else weights
+        expected = np.zeros(len(sizes))
+        np.add.at(expected, label, each)
+        assert np.allclose(sizes, expected, rtol=1e-12, atol=0.0)
+        incidence = {(t, c) for tiles_of, c in class_of.items() for t in tiles_of}
+        assert set(zip(tiles.tolist(), classes.tolist())) == incidence
+        assert len(tiles) == len(incidence)
+
+        keys, owners = _pairs(tiles, classes, k)
+        pairs = sorted(zip(keys.tolist(), owners.tolist()))
+        assert pairs == sorted((u * k + t, c) for tiles_of, c in class_of.items()
+                               for u in tiles_of for t in tiles_of if t < u)
 
 
 class TestFold:
