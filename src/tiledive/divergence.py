@@ -9,12 +9,13 @@ the background area, which is used as a fast path. There each model is
 masks, so each KL term is ln 2 times a count of mask entries.
 
 `distance` fits four models and `_combine` turns them into the report.
-`distance_matrix` and `redescribe.fruits` fit the models that pairs
-share once, and `fruits` computes the two KL terms that depend only on
-the joint, KL(M || right+bg) and KL(M || bg), once per joint. `fit`
-depends only on the set of tiles, not on their order, and `kl` is
-deterministic, so a shared model or term is the one per-pair `distance`
-would compute, and values are bit-identical to per-pair `distance`.
+`distance_matrix` and the greedy loop of `fruits` and `fitamin` fit the
+models that pairs share once, and the loop computes the two KL terms
+that depend only on the joint, KL(M || right+bg) and KL(M || bg), once
+per joint. `fit` depends only on the set of tiles, not on their order,
+and `kl` is deterministic, so a shared model or term is the one
+per-pair `distance` would compute, and values are bit-identical to
+per-pair `distance`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .errors import (
 )
 from .maxent import EntryModel, FitOptions, exact_fastpath, fit
 
-# Below this, KL(M || bg) is treated as zero and the distance defined as 1.
+# Below this per matrix entry, KL(M || bg) is treated as zero and the
+# distance defined as 1: tiles that add nothing leave only fit noise.
 _ZERO_KL = 1e-12
 
 # Least improvement that counts when a search compares candidates: a
@@ -137,7 +139,8 @@ def _combine(
     KL(M || u+b) and KL(M || b) depend only on the joint M: a caller
     that meets M again passes the first report's `kl_m_u` and `kl_m_b`
     back as `terms`, and they are not recomputed. KL(M || t+b) is 0.0
-    without a pass when t+b is the joint, `model_tb is model_m`.
+    without a pass when t+b is the joint, `model_tb is model_m`, and
+    likewise KL(M || u+b).
     """
     if t.all_exact() and u.all_exact() and b.all_exact():
         # Each model is 0 or 1 on its area and 1/2 elsewhere, and M's area
@@ -152,9 +155,10 @@ def _combine(
 
     kl_m_t = 0.0 if model_tb is model_m else kl(model_m, model_tb)
     if terms is None:
-        terms = kl(model_m, model_ub), kl(model_m, model_b)
+        terms = (0.0 if model_ub is model_m else kl(model_m, model_ub)), kl(model_m, model_b)
     kl_m_u, kl_m_b = terms
-    if kl_m_b <= _ZERO_KL:
+    n, m = t.dims
+    if kl_m_b <= _ZERO_KL * n * m:
         value = 1.0
     else:
         value = (kl_m_u + kl_m_t) / kl_m_b

@@ -1,9 +1,10 @@
 """Rank tiles so each one adds maximal novel information.
 
-Exact mode refits a model per remaining candidate per step and picks
-the one minimizing the distance between the ranked prefix and the full
-set. Heuristic mode fits one model per step and scores candidates by
-how far their target frequency is from the current model frequency.
+Both modes run `fruits`'s greedy loop (`redescribe._greedy`) with the
+ranked tiles as target and candidates, and rank every tile; each trace
+entry is `distance`'s value for the ranked prefix. Exact mode evaluates
+every remaining candidate per step, heuristic mode only the one that
+`surprise_score` ranks first against the model of the prefix so far.
 """
 
 from __future__ import annotations
@@ -12,18 +13,22 @@ import math
 from dataclasses import dataclass
 
 from .core import FreqTile, TileSet
-from .divergence import _MIN_GAIN, _ZERO_KL, _fit_joint, _fit_or_fast, kl
+# unused here: perfbench/test_perfbench.py's
+# test_restore_puts_every_original_back reads `rank.kl`
+from .divergence import kl
 from .errors import InfiniteSurprise, InputError
 from .maxent import EntryModel, FitOptions, model_frequency
+from .redescribe import _greedy
 
 
 @dataclass(frozen=True)
 class Ranking:
     """Tile order with the per-step distance decrease on the [0, 2] scale.
 
-    `trace` holds the distance after each step. It ends at 0, except when
-    the tiles add nothing to the background: KL(M || B) is then 0, the
-    distance is 1 by `distance`'s convention, and every entry is 1.0.
+    `trace` holds the distance after each step, `distance`'s value for
+    the ranked prefix. It ends at 0, except when the tiles add nothing
+    to the background: KL(M || B) is then 0, the distance is 1 by
+    `distance`'s convention, and every entry is 1.0.
     """
 
     order: tuple[FreqTile, ...]
@@ -66,62 +71,15 @@ def fitamin(
 
     The distance from the ranked prefix to the full set starts at 1 and
     reaches 0 once every tile is ranked; gains are the per-step drops.
-    When the tiles add nothing to the background, KL(M || B) = 0 and
+    Each step takes its best candidate even when it gains nothing. When
+    the tiles add nothing to the background, KL(M || B) = 0 and
     `distance` defines every distance as 1: each trace entry is then
     1.0 and each gain 0, as in `fitamin(bg, bg)`. Ties resolve to input
     order.
     """
     if mode not in ("exact", "heuristic"):
         raise InputError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    if background is None:
-        background = TileSet(tiles.dims)
-
-    full = tiles.union(background)
-    model_full = _fit_joint(full, opts)
-    model_bg = _fit_or_fast(background, opts)
-    kl_full_bg = kl(model_full, model_bg)
-
-    def prefix_fit(prefix: TileSet) -> tuple[EntryModel, float]:
-        # The model of prefix + background, and distance(prefix, tiles;
-        # background): the joint of all three sets is `full`, and
-        # KL(full || tiles+background) vanishes. If the tiles add nothing
-        # to the background, KL(full || bg) = KL(full || prefix+bg) +
-        # KL(prefix+bg || bg) says no prefix does either. A prefix that
-        # holds every tile makes prefix + background `full`, reordered.
-        if kl_full_bg <= _ZERO_KL:
-            return model_bg, 1.0
-        if len(prefix) == len(tiles):
-            return model_full, 0.0
-        model_pb = _fit_or_fast(prefix.union(background), opts)
-        return model_pb, kl(model_full, model_pb) / kl_full_bg
-
-    prefix = TileSet(tiles.dims)
-    remaining = list(tiles.tiles)
-    model_pb, current_d = model_bg, 1.0  # the empty prefix is at distance 1
-    gains: list[float] = []
-    trace: list[float] = []
-
-    while remaining:
-        # Ties go to the earlier candidate: as in `fruits`, a later one
-        # must beat the best so far by more than rounding, _MIN_GAIN.
-        pick, best = 0, None
-        if mode == "exact":
-            for i, cand in enumerate(remaining):
-                fitted = prefix_fit(prefix.with_tile(cand))
-                if best is None or fitted[1] < best[1] - _MIN_GAIN:
-                    pick, best = i, fitted
-            model_pb, d_after = best
-        else:
-            for i, cand in enumerate(remaining):
-                score = surprise_score(cand, model_pb)
-                if best is None or score > best + _MIN_GAIN * max(1.0, best):
-                    pick, best = i, score
-            model_pb, d_after = prefix_fit(prefix.with_tile(remaining[pick]))
-
-        chosen = remaining.pop(pick)
-        prefix = prefix.with_tile(chosen)
-        gains.append(current_d - d_after)
-        trace.append(d_after)
-        current_d = d_after
-
-    return Ranking(prefix.tiles, tuple(gains), tuple(trace), mode)
+    score = surprise_score if mode == "heuristic" else None
+    order, trace = _greedy(tiles, tiles, background, opts, stop=False, score=score)
+    gains = tuple(before - after for before, after in zip((1.0,) + trace, trace))
+    return Ranking(order, gains, trace, mode)

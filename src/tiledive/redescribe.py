@@ -3,17 +3,14 @@
 Repeatedly add the candidate that most reduces the distance to the
 target tile set, stopping once no candidate gives a strict improvement.
 Finding the optimal subset is intractable, so greedy is the intended
-trade-off. The search starts from the empty selection, which is at
-distance 1 from any target. The target+bg and bg models are the same
-for every candidate, so they are fitted once per call; and as a model
-depends only on its set of tiles, a candidate's joint model is kept in
-a table keyed by that set and reused when the set recurs, with the two
-KL terms that depend only on it, so they are computed once per joint:
-see `fruits`.
+trade-off. `rank.fitamin` runs the same loop, `_greedy`, with the ranked
+tiles as both target and candidates, and ranks every tile. Models and KL
+terms that recur are computed once per call: see `_greedy`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import FreqTile, TileSet
@@ -21,7 +18,7 @@ from .divergence import _MIN_GAIN, _combine, _fit_joint, _fit_or_fast
 from .errors import DimMismatch
 from .maxent import FitOptions
 
-# The most memory the joint models that `fruits` keeps from one round
+# The most memory the joint models that `_greedy` keeps from one round
 # to the next may take, the base's own aside, each counted as an n×m
 # float64 matrix (an exact model's two masks take a quarter of that,
 # and the KL terms kept beside a model are two floats). A bound in
@@ -50,29 +47,45 @@ def fruits(
     Candidates are evaluated in input order each round; the first one
     achieving the best strict improvement wins, so results are
     deterministic. The selection order is preserved for top-k reading.
-
     Each distance is `distance(chosen + cand, target, background, opts)`
-    bit for bit. `fit` gives a set the same model in any order, so a set
-    that recurs reuses its model: target+bg and bg are fitted once, and
-    each joint, base+cand with base = chosen+target+bg, is looked up in
-    one table keyed by its set of tiles and fitted only when missing. A
-    pick from the base changes no joint, so the table keeps its models
-    for the next round, as many as `_KEPT_BYTES` holds (a call holds
-    O(1) models, not one per candidate); a pick from outside grows the
-    base, and the table keeps only the new base's model, the pick's
-    joint. Once chosen+cand+bg holds the target, it is the joint. The
-    empty selection is at distance 1 by definition, so it needs no fit.
+    bit for bit.
+    """
+    selected, trace = _greedy(target, candidates, background, opts, stop=True)
+    return Redescription(selected, trace, trace[-1] if trace else 1.0)
 
-    KL(M || target+bg) and KL(M || bg) depend only on the joint M, so
-    each table entry keeps them beside its model once computed, and a
-    recurring joint costs one `kl` call, KL(M || chosen+cand+bg), or
-    none when chosen+cand+bg is the joint.
+
+def _greedy(
+    target: TileSet,
+    pool: TileSet,
+    background: TileSet | None,
+    opts: FitOptions,
+    stop: bool,
+    score=None,
+) -> tuple[tuple[FreqTile, ...], tuple[float, ...]]:
+    """The selection from `pool` and its trace of distances to `target`.
+
+    With `stop`, the search ends at a round that improves on the last
+    distance by no more than `_MIN_GAIN`; without, each round takes its
+    best candidate until `pool` is used up. With a `score`, a round
+    evaluates only the candidate that `score(cand, model of chosen+bg)`
+    ranks first, ties within a relative `_MIN_GAIN` going to the earlier.
+
+    `fit` gives a set the same model in any order, so target+bg and bg
+    are fitted once, and each joint, base+cand with base =
+    chosen+target+bg, is looked up in one table keyed by its set of
+    tiles and fitted only when missing. A pick from the base changes no
+    joint, so the table keeps its models for the next round, as many as
+    `_KEPT_BYTES` holds; a pick from outside grows the base, and the
+    table keeps only the new base's model, the pick's joint. Each entry
+    keeps KL(M || target+bg) and KL(M || bg), which depend only on the
+    joint M, beside its model, so a recurring joint costs one `kl`
+    call, KL(M || chosen+cand+bg), or none when that set is the joint.
     """
     if background is None:
         background = TileSet(target.dims)
-    if not (target.dims == candidates.dims == background.dims):
+    if not (target.dims == pool.dims == background.dims):
         raise DimMismatch(
-            f"dims differ: {target.dims}, {candidates.dims}, {background.dims}"
+            f"dims differ: {target.dims}, {pool.dims}, {background.dims}"
         )
 
     model_ub = _fit_joint(target.union(background), opts)
@@ -87,16 +100,24 @@ def fruits(
     chosen = TileSet(target.dims)
     # d(empty, target; bg) = (0 + KL(M || bg)) / KL(M || bg) = 1 with
     # M = target+bg, and the Jaccard value of an empty area is 1 too.
-    best = 1.0
-    remaining = list(candidates.tiles)
+    best, model_cb = 1.0, model_b  # model_cb: the model of chosen+bg
+    remaining = list(pool.tiles)
     trace: list[float] = []
 
     while remaining:
-        round_best = best
+        round_best = best if stop else math.inf
         round_pick = None
+        evaluated = enumerate(remaining)
+        if score is not None:
+            scores = [score(cand, model_cb) for cand in remaining]
+            top = 0
+            for i, s in enumerate(scores):
+                if s > scores[top] + _MIN_GAIN * max(1.0, scores[top]):
+                    top = i
+            evaluated = [(top, remaining[top])]
         # a joint is worth keeping only if a pick from the base may come
         keep = any(cand in base for cand in remaining)
-        for i, cand in enumerate(remaining):
+        for i, cand in evaluated:
             t = chosen.with_tile(cand)
             key = base | {cand}
             entry = joints.get(key)
@@ -114,6 +135,7 @@ def fruits(
                 round_best = report.value
                 round_pick = i
                 pick_entry = entry
+                model_cb = model_tb
         if round_pick is None:
             break
         cand = remaining.pop(round_pick)
@@ -124,4 +146,4 @@ def fruits(
         best = round_best
         trace.append(best)
 
-    return Redescription(chosen.tiles, tuple(trace), best)
+    return chosen.tiles, tuple(trace)

@@ -82,7 +82,8 @@ def kl_ratio(t: TileSet, u: TileSet, b: TileSet, opts) -> float:
     Jaccard form on all-exact sets.
     """
     kl_m_t, kl_m_u, kl_m_b = kl_terms(t, u, b, opts)
-    if kl_m_b <= _ZERO_KL:
+    n, m = t.dims
+    if kl_m_b <= _ZERO_KL * n * m:
         return 1.0
     return (kl_m_u + kl_m_t) / kl_m_b
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tiledive.divergence
 from tiledive import (
     FreqTile,
     Tile,
@@ -17,7 +18,13 @@ from tiledive import (
 from tiledive.errors import ConsistencyError, InfiniteSurprise
 from tiledive.maxent import FitOptions
 
-from conftest import make_set, random_annotated_set, random_dataset, record_fits
+from conftest import (
+    make_set,
+    random_annotated_set,
+    random_dataset,
+    random_exact_instance,
+    record_fits,
+)
 
 TIGHT = FitOptions(tolerance=1e-12)
 
@@ -134,10 +141,23 @@ class TestRankingContract:
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_tiles_the_background_implies_stay_at_distance_one(self, toy_data, mode):
         margins = margin_tiles(toy_data, "columns")
-        r = fitamin(margins, margins, mode, TIGHT)
-        assert sorted(map(id, r.order)) == sorted(map(id, margins.tiles))
-        assert r.trace == (1.0,) * len(margins)
-        assert r.gains == (0.0,) * len(margins)
+        # Tiles over all rows of a 12x10 matrix: the column margins imply
+        # their frequencies, and at the default tolerance KL(M || B) is
+        # fit noise, 5.6e-12, that gave distances below 0.
+        rng = np.random.default_rng(1)
+        data = random_dataset(rng, 12, 10, density=0.4)
+        spans = make_set(data, *(
+            Tile(range(1, 13), rng.choice(np.arange(1, 11), size=int(rng.integers(2, 5)), replace=False))
+            for _ in range(4)
+        ))
+        columns = margin_tiles(data, "columns")
+        first = TileSet(data.dims, spans.tiles[:1])
+        assert distance(first, spans, columns).value == 1.0
+        for tiles, bg, opts in ((margins, margins, TIGHT), (spans, columns, FitOptions())):
+            r = fitamin(tiles, bg, mode, opts)
+            assert sorted(map(id, r.order)) == sorted(map(id, tiles.tiles))
+            assert r.trace == (1.0,) * len(tiles)
+            assert r.gains == (0.0,) * len(tiles)
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_background_ranked_against_itself_stays_at_distance_one(self, toy_data, mode):
@@ -176,3 +196,47 @@ class TestRankingContract:
             exact = fitamin(tiles, None, "exact", TIGHT)
             heur = fitamin(tiles, None, "heuristic", TIGHT)
             assert exact.order[0].tile == heur.order[0].tile
+
+
+class TestSharedLoop:
+    """Both modes run `fruits`'s greedy loop on the ranked tiles."""
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_trace_entries_are_distance_values(self, mode, seed):
+        rng = np.random.default_rng(740 + seed)
+        for _ in range(5):
+            (tiles, bg), _ = random_exact_instance(rng, 8, 8, (5, 2))
+            r = fitamin(tiles, bg, mode)
+            for k, d in enumerate(r.trace, 1):
+                value = distance(TileSet(tiles.dims, r.order[:k]), tiles, bg).value
+                assert d.hex() == value.hex()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_ranking_is_fruits_on_its_own_tiles(self, seed):
+        # fruits stops at a tile that adds nothing; fitamin ranks it anyway
+        rng = np.random.default_rng(750 + seed)
+        data = random_dataset(rng, 8, 8, density=0.4)
+        tiles = random_annotated_set(rng, data, 5)
+        assert not tiles.all_exact()
+        for bg in (None, density_tile(data)):
+            r = fitamin(tiles, bg, "exact")
+            f = fruits(tiles, tiles, bg)
+            assert f.selected and r.order[: len(f.selected)] == f.selected
+            assert [d.hex() for d in r.trace[: len(f.trace)]] == [d.hex() for d in f.trace]
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_kl_passes_are_one_per_prefix_that_is_not_the_full_set(self, monkeypatch, mode):
+        rng = np.random.default_rng(760)
+        data = random_dataset(rng, 8, 8, density=0.4)
+        tiles = random_annotated_set(rng, data, 5)
+        kls = []
+        real_kl = tiledive.divergence.kl
+        monkeypatch.setattr(tiledive.divergence, "kl", lambda a, b: kls.append(1) or real_kl(a, b))
+        fitamin(tiles, density_tile(data), mode)
+        # KL(full || bg) once, and KL(full || prefix+bg) per evaluated
+        # prefix but the last, the full set: exact mode evaluates every
+        # remaining tile per step, heuristic mode one
+        k = len(tiles)
+        evaluated = k * (k + 1) // 2 if mode == "exact" else k
+        assert len(kls) == 1 + evaluated - 1
