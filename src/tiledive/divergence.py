@@ -68,22 +68,25 @@ def kl(model_a: EntryModel, model_b: EntryModel) -> float:
 
     Finite whenever model_b was fitted for a subset of model_a's tiles:
     any entry deterministic under b is then deterministic under a with
-    the same value.
+    the same value. Only an entry deterministic under b but not under a
+    makes a term +inf, so such clashes are looked for only when the sum
+    is not finite: raises InfiniteDivergence naming the first.
     """
     if model_a.dims != model_b.dims:
         raise DimMismatch(f"model dims differ: {model_a.dims} vs {model_b.dims}")
     pa, pb = model_a.p, model_b.p
-    det_clash = ((pb == 0.0) & (pa > 0.0)) | ((pb == 1.0) & (pa < 1.0))
-    if det_clash.any():
-        i, j = np.argwhere(det_clash)[0]
-        raise InfiniteDivergence(
-            f"entry ({i + 1}, {j + 1}) is deterministic in the reference "
-            f"model but not in the compared model"
-        )
     with np.errstate(divide="ignore", invalid="ignore"):
         pos = np.where(pa > 0.0, pa * (np.log(pa) - np.log(pb)), 0.0)
         neg = np.where(pa < 1.0, (1.0 - pa) * (np.log1p(-pa) - np.log1p(-pb)), 0.0)
-    return float((pos + neg).sum())
+    total = float((pos + neg).sum())
+    if not math.isfinite(total):
+        clash = ((pb == 0.0) & (pa > 0.0)) | ((pb == 1.0) & (pa < 1.0))
+        for i, j in np.argwhere(clash)[:1]:  # the first; none only if p holds NaN
+            raise InfiniteDivergence(
+                f"entry ({i + 1}, {j + 1}) is deterministic in the reference "
+                f"model but not in the compared model"
+            )
+    return total
 
 
 def jaccard_distance(t: TileSet, u: TileSet, b: TileSet) -> float:

@@ -36,6 +36,12 @@ from .errors import (
 # (all remaining free entries forced to 0 or 1).
 _BOUNDARY_EPS = 1e-9
 
+# Bounds that keep a free entry's probability strictly inside (0, 1),
+# and block b's bit in its signature word as a uint64 scalar: OR-ing a
+# Python int into a uint64 array takes a value-based cast on each call.
+_LOW, _HIGH = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
+_BITS = [np.uint64(1 << bit) for bit in range(32)]
+
 # Cap on damped-Newton steps. Consistent tile sets converge in tens of
 # steps; a fit that runs out has mutually inconsistent frequencies.
 _NEWTON_STEPS = 500
@@ -177,7 +183,7 @@ def _unfolded(ts: TileSet, order) -> _Fold:
     return _Fold(ts.dims, parts)
 
 
-def _number(label: np.ndarray, blocks, shape: tuple, at) -> tuple[np.ndarray, list]:
+def _number(label: np.ndarray | None, blocks, shape: tuple, at) -> tuple[np.ndarray, list]:
     """Number the cells at `at`, an index into an array of `shape`, by
     the set of `blocks` holding them, then by their int64 `label`.
 
@@ -185,15 +191,16 @@ def _number(label: np.ndarray, blocks, shape: tuple, at) -> tuple[np.ndarray, li
     the block sets. One sort of the keys (word, number so far) numbers
     each word in turn, so numbers run from 0 in the order of the set
     read as a binary number, the last block its top bit, then of
-    `label`. Returns the numbers and, per word, its sorted distinct
-    keys, which hold each number's word and number before.
+    `label`; with `label` None, all alike, the first key is the word
+    alone. Returns the numbers and, per word, its sorted distinct keys,
+    which hold each number's word and number before.
     """
     numbered = []
     for start in range(0, max(len(blocks), 1), 32):  # no block: one pass numbers the labels
         word = np.zeros(shape, dtype=np.uint64)
-        for bit, block in enumerate(blocks[start:start + 32]):
-            word[block] |= 1 << bit
-        key = (word[at] << 32) | label.view(np.uint64)
+        for bit, block in zip(_BITS, blocks[start:start + 32]):
+            word[block] |= bit
+        key = word[at] if label is None else (word[at] << 32) | label.view(np.uint64)
         keys = np.sort(key)
         keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
         label = np.searchsorted(keys, key)
@@ -318,25 +325,31 @@ def _settle(fold: _Fold) -> tuple[np.ndarray, list, np.ndarray]:
     alone tells them apart; a block's settled mass is its weighted sum
     less half its free count, exact since every term is a multiple of
     1/2. The boundary slack is per original tile, so a merged tile gets
-    it once per tile it stands for. Returns (p on the grid, the tiles
-    left open, the mass their free entries must still carry).
+    it once per tile it stands for. Until a cell settles, a noisy tile
+    whose target lies inside both ends' slack stays open, p unread.
+    Returns (p on the grid, the tiles left open, the mass their free
+    entries must still carry).
     """
     p = np.full(fold.shape, 0.5)
     parts = fold.parts
     still = sorted(range(len(parts)),
                    key=lambda j: (0, parts[j][3]) if parts[j][2] in (0.0, 1.0) else (1, j))
-    changed = True
+    changed, untouched = True, True
     while changed:
         changed = False
         tiles, still, rest = still, [], []
         for j in tiles:
             block, a, alpha, first, tile, count, weight = parts[j]
+            target, eps = alpha * a, count * _BOUNDARY_EPS
+            if untouched and eps < target < a - eps:  # an exact tile's target is 0 or a
+                still.append(j)
+                rest.append(target)
+                continue
             sub_p = p[block]
             free = sub_p == 0.5
             # counting a mask's cells takes a third of the time of its sum
             nfree = int(np.count_nonzero(free)) if weight is None else _mass(free, weight)
             settled = _mass(sub_p, weight) - 0.5 * nfree
-            target, eps = alpha * a, count * _BOUNDARY_EPS
             if not settled - eps <= target <= settled + nfree + eps:
                 error = ConflictingExactTiles if alpha in (0.0, 1.0) else InfeasibleTile
                 raise error(
@@ -355,7 +368,7 @@ def _settle(fold: _Fold) -> tuple[np.ndarray, list, np.ndarray]:
                 rest.append(target - settled)
                 continue
             p[block] = np.where(free, value, sub_p)
-            changed = True
+            changed, untouched = True, False
     return p, still, np.array(rest)
 
 
@@ -364,24 +377,26 @@ def _entry_classes(cover: list, free: np.ndarray, weights=None):
 
     Classes come in the order of that set, so the cells no tile covers,
     if any, are class 0. Each class's words, traced back through the
-    keys that numbered them and unpacked, give the tile-by-class
-    incidence, class-major with the tiles ascending. `cover` holds the
+    keys that numbered them, and the bits of those that are not 0 give
+    the incidence, class-major with the tiles ascending. `cover` holds the
     tiles' index pairs, and `weights` each free cell's weight in
     row-major order, or None for one entry each. Returns each free
     cell's class (row-major), the class sizes and the incidence (tiles,
     classes).
     """
-    start = np.zeros(np.count_nonzero(free), dtype=np.int64)
-    label, numbered = _number(start, cover, free.shape, free)
+    label, numbered = _number(None, cover, free.shape, free)
     sizes = np.bincount(label, weights).astype(float)
-    words = np.zeros((len(sizes), len(numbered)), dtype="<u4")
-    before = np.arange(len(sizes))
-    for j in reversed(range(len(numbered))):  # each class's words, back to the first
+    words = np.empty((len(sizes), len(numbered)), dtype="<u4")
+    before = slice(None)
+    for j in range(len(numbered) - 1, 0, -1):  # each class's words, back to the first
         key = numbered[j][before]
         words[:, j], before = key >> 32, key & 0xFFFFFFFF
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=len(cover), bitorder="little")
-    classes, tiles = np.nonzero(bits)
-    return label, sizes, tiles, classes
+    words[:, 0] = numbered[0][before]  # unlabelled: the first keys are the words
+    classes, word = np.nonzero(words)
+    bits = np.unpackbits(words[classes, word].view(np.uint8).reshape(-1, 4), axis=1,
+                         bitorder="little")
+    at, bit = np.nonzero(bits)
+    return label, sizes, word[at] * 32 + bit, classes[at]
 
 
 def _pairs(tiles: np.ndarray, classes: np.ndarray, k: int):
@@ -413,7 +428,7 @@ def _square_solve(sizes, tiles, classes, targets, areas, tolerance, parts):
     InfeasibleTile, naming the class's first tile in input order among
     `parts`, the open tiles' parts."""
     k, outside = len(targets), len(sizes) - len(targets)
-    if outside != (classes.min(initial=1) > 0):  # square: only class 0 may lie outside all tiles
+    if outside != (len(classes) == 0 or classes[0] > 0):  # square: only class 0 is uncovered
         return None
     incidence = np.zeros((k, k))
     incidence[tiles, classes - outside] = 1.0
@@ -423,6 +438,9 @@ def _square_solve(sizes, tiles, classes, targets, areas, tolerance, parts):
     if not np.max(np.abs(incidence @ mass - targets) / areas, initial=0.0) <= tolerance:
         return None
     size = sizes[outside:]
+    q = mass / size
+    if q.min(initial=0.5) > 0.0 and q.max(initial=0.5) < 1.0:
+        return np.concatenate((np.full(outside, 0.5), q))  # 1/2 outside every open tile
     bad = np.flatnonzero((mass < -_BOUNDARY_EPS) | (mass > size + _BOUNDARY_EPS))
     if len(bad):
         c = bad[0]
@@ -430,10 +448,7 @@ def _square_solve(sizes, tiles, classes, targets, areas, tolerance, parts):
                                            key=lambda part: part[3])
         raise InfeasibleTile(f"tile #{first + 1} ({tile}) wants frequency {alpha} but the open "
                              f"tiles' targets put mass {mass[c]:.6g} on {size[c]:g} of its entries")
-    q = mass / size
-    if not (q.min(initial=0.5) > 0.0 and q.max(initial=0.5) < 1.0):
-        return None
-    return np.concatenate((np.full(outside, 0.5), q))  # 1/2 outside every open tile
+    return None
 
 
 def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
@@ -521,8 +536,7 @@ def fit(ts: TileSet, opts: FitOptions = FitOptions()) -> EntryModel:
             multipliers, s, objective = cand, s2, obj2
         q = _sigmoid(s)
 
-    eps = np.finfo(float)
-    p[free] = np.clip(q, eps.tiny, 1.0 - eps.epsneg)[label]
+    p[free] = np.minimum(np.maximum(q, _LOW), _HIGH)[label]
     residual = max((abs(_mass(p[block], weight) / area - alpha)
                     for block, area, alpha, *_, weight in fold.parts), default=0.0)
     if residual > opts.tolerance:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import FreqTile, TileSet
-from .divergence import _MIN_GAIN, _combine, _fit_joint, _fit_or_fast
+from .divergence import _MIN_GAIN, _ZERO_KL, _combine, _fit_joint, _fit_or_fast
 from .errors import DimMismatch
 from .maxent import FitOptions
 
@@ -80,6 +80,8 @@ def _greedy(
     keeps KL(M || target+bg) and KL(M || bg), which depend only on the
     joint M, beside its model, so a recurring joint costs one `kl`
     call, KL(M || chosen+cand+bg), or none when that set is the joint.
+    When `pool` lies in the base, every joint is the base; if then KL(M || bg)
+    is zero, every distance is 1, and without a `score` nothing is fitted.
     """
     if background is None:
         background = TileSet(target.dims)
@@ -96,6 +98,11 @@ def _greedy(
     base = frozenset(target.tiles) | frozenset(background.tiles)
     joints: dict[frozenset[FreqTile], list] = {base: [model_ub, None]}
     n, m = target.dims
+    if pool.tiles and base.issuperset(pool.tiles):
+        report = _combine(target, target, background, model_ub, model_ub, model_ub, model_b)
+        joints[base][1] = report.kl_m_u, report.kl_m_b
+        if report.kl_m_b <= _ZERO_KL * n * m and score is None:
+            return ((), ()) if stop else (pool.tiles, (1.0,) * len(pool))
 
     chosen = TileSet(target.dims)
     # d(empty, target; bg) = (0 + KL(M || bg)) / KL(M || bg) = 1 with

@@ -21,7 +21,7 @@ from tiledive import (
     kl,
 )
 from tiledive.errors import ConsistencyError, DimMismatch, InfiniteDivergence, NotExact
-from tiledive.maxent import FitOptions
+from tiledive.maxent import EntryModel, FitOptions
 
 from conftest import (
     kl_ratio,
@@ -59,6 +59,21 @@ class TestKl:
         b = exact_fastpath(TileSet((2, 2), (FreqTile(Tile([1], [1]), 1.0),)))
         with pytest.raises(InfiniteDivergence):
             kl(a, b)
+
+    @pytest.mark.parametrize("kinds", [(0.0,), (1.0,), (0.0, 1.0), (1.0, 0.0)])
+    def test_infinite_divergence_names_the_first_clash(self, kinds):
+        # A clash is an entry where the reference model b is 0 with a > 0,
+        # or 1 with a < 1. Among many finite terms, and entries where both
+        # models agree on 0 or 1, the first clash in row-major order is named.
+        rng = np.random.default_rng(5)
+        pa, pb = rng.uniform(0.05, 0.95, size=(2, 20, 30))
+        pa[0, :4] = pb[0, :4] = [0.0, 1.0, 0.0, 1.0]
+        a = EntryModel((20, 30), pa, 0.0)
+        assert math.isfinite(kl(a, EntryModel((20, 30), pb.copy(), 0.0)))
+        for (i, j), value in zip([(7, 12), (15, 3)], kinds):
+            pb[i, j] = value
+        with pytest.raises(InfiniteDivergence, match=r"entry \(8, 13\) is deterministic"):
+            kl(a, EntryModel((20, 30), pb, 0.0))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):

@@ -631,6 +631,48 @@ class TestEntryClasses:
         assert pairs == sorted((u * k + t, c) for tiles_of, c in class_of.items()
                                for u in tiles_of for t in tiles_of if t < u)
 
+    def test_wide_fit_unpacks_only_the_words_that_hold_a_bit(self):
+        # 6 random 80x60 tiles under the columns+rows margins of a 400x300
+        # matrix: 485 open parts, 16 signature words, and a class per grid
+        # cell, covered by its line's two margins and any of the 6 tiles.
+        # A classes x parts bit matrix alone would take 27.6 MB; the
+        # incidence has 135,459 entries.
+        rng = np.random.default_rng(1)
+        n, m = 400, 300
+        data = BinaryDataset((rng.random((n, m)) < 0.3).astype(np.uint8))
+        rects = [Tile(rng.choice(np.arange(1, n + 1), 80, replace=False),
+                      rng.choice(np.arange(1, m + 1), 60, replace=False)) for _ in range(6)]
+        ts = make_set(data, *rects).union(background_tiles("columns+rows", data))
+        fold = _fold(ts)
+        p, active, _ = _settle(fold)
+        free = p == 0.5
+        cover = [fold.parts[j][0] for j in active]
+        weights = fold.weight[free]
+        tracemalloc.start()
+        try:
+            label, sizes, tiles, classes = _entry_classes(cover, free, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(cover), len(sizes), len(tiles)) == (485, 56_854, 135_459)
+        assert peak < len(sizes) * len(cover)
+
+        # the brute force above, vectorized: a class per distinct set of
+        # covering tiles, weighted sizes, and the incidence, class-major
+        # with the tiles ascending
+        masks = np.zeros((len(cover), *free.shape), dtype=bool)
+        for mask, block in zip(masks, cover):
+            mask[block] = True
+        covers = masks[:, free]  # tiles x free cells, row-major
+        sets = [bits.tobytes() for bits in np.packbits(covers, axis=0).T]
+        assert len(set(zip(label.tolist(), sets))) == len(set(sets)) == len(sizes)
+        assert (label[~covers.any(axis=0)] == 0).all()
+        assert np.allclose(sizes, np.bincount(label, weights), rtol=1e-12, atol=0.0)
+        at, cell = np.nonzero(covers)
+        incidence = set(zip(at.tolist(), label[cell].tolist()))
+        assert set(zip(tiles.tolist(), classes.tolist())) == incidence
+        assert np.array_equal(np.lexsort((tiles, classes)), np.arange(len(tiles)))
+
 
 class TestFold:
     """Rows, or columns, that a swap maps onto the same tile set share

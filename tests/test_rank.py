@@ -139,7 +139,7 @@ class TestRankingContract:
             assert r.order == (first, second)
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
-    def test_tiles_the_background_implies_stay_at_distance_one(self, toy_data, mode):
+    def test_tiles_the_background_implies_stay_at_distance_one(self, toy_data, mode, monkeypatch):
         margins = margin_tiles(toy_data, "columns")
         # Tiles over all rows of a 12x10 matrix: the column margins imply
         # their frequencies, and at the default tolerance KL(M || B) is
@@ -153,8 +153,17 @@ class TestRankingContract:
         columns = margin_tiles(data, "columns")
         first = TileSet(data.dims, spans.tiles[:1])
         assert distance(first, spans, columns).value == 1.0
-        for tiles, bg, opts in ((margins, margins, TIGHT), (spans, columns, FitOptions())):
+        # Exact mode fits only target+bg and bg, and its order is the
+        # input's; heuristic mode still fits each prefix+bg that is not
+        # the full set, for its scores: none over the margins themselves.
+        fits = record_fits(monkeypatch)
+        for tiles, bg, opts, heuristic_fits in ((margins, margins, TIGHT, 2),
+                                                (spans, columns, FitOptions(), 5)):
+            fits.clear()
             r = fitamin(tiles, bg, mode, opts)
+            assert len(fits) == (2 if mode == "exact" else heuristic_fits)
+            if mode == "exact":
+                assert r.order == tiles.tiles
             assert sorted(map(id, r.order)) == sorted(map(id, tiles.tiles))
             assert r.trace == (1.0,) * len(tiles)
             assert r.gains == (0.0,) * len(tiles)

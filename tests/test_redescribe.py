@@ -250,3 +250,16 @@ class TestSharedFits:
         r = fruits(target, TileSet(data.dims), background_tiles(preset, data))
         assert r.final_distance == 1.0 and r.trace == ()
         assert len(fits) == 2 and kls == []
+
+    def test_candidates_the_background_implies_are_not_fitted(self, monkeypatch):
+        # Every candidate lies in target+bg, and the column margins imply
+        # the target's tiles, which span all rows: every distance is 1, so
+        # nothing is picked, and only target+bg and bg are fitted.
+        rng = np.random.default_rng(1)
+        data = random_dataset(rng, 12, 10, density=0.4)
+        target = make_set(data, *(Tile(range(1, 13), [j, j + 1]) for j in (1, 4, 7)))
+        background = background_tiles("columns", data)
+        fits = record_fits(monkeypatch)
+        r = fruits(target, target.union(background), background)
+        assert (r.selected, r.trace, r.final_distance) == ((), (), 1.0)
+        assert len(fits) == 2
